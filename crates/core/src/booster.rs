@@ -4,12 +4,14 @@
 //! A [`Scenario`] bundles the hardware profile, the kernel plan, the
 //! unit set, the service workload bodies, and the boot-completion
 //! definition. The single entry point is the [`BootRequest`] builder:
-//! the scenario is lowered to a [`crate::pipeline::BootPlanIr`], the
-//! enabled [`PlanPass`]es transform it (recording a [`PassDelta`]
-//! each), and [`crate::pipeline::execute_instrumented`] runs the boot
-//! end to end. Callers that boot in a loop attach a
-//! [`MachineBuilder`] via [`BootRequest::machine_builder`] so each boot
-//! reuses the previous machine's allocations.
+//! one plan resolver lowers the scenario to a
+//! [`crate::pipeline::BootPlanIr`], lets the enabled [`PlanPass`]es
+//! transform it (recording a [`PassDelta`] each) and moves the result
+//! into a shareable plan — or takes that plan from a [`PlanCache`].
+//! One prefix executor and one suffix executor then run it, straight
+//! through or split around a [`Checkpoint`]. Callers that boot in a
+//! loop attach a [`MachineBuilder`] via [`BootRequest::machine_builder`]
+//! so each boot reuses the previous machine's allocations.
 //!
 //! [`PlanPass`]: crate::pipeline::PlanPass
 //! [`PassDelta`]: crate::pipeline::PassDelta
@@ -28,8 +30,7 @@ use std::sync::Arc;
 use crate::config::BbConfig;
 use crate::error::Error;
 use crate::pipeline::{
-    execute_pooled, execute_pooled_owned, execute_prefix_pooled, execute_suffix,
-    execute_suffix_view, BootPlanIr, OwnedPlan, PassDelta, Pipeline, PrefixView, SuffixView,
+    execute_prefix, execute_suffix, OwnedPlan, PassDelta, Pipeline, PrefixView, SuffixView,
 };
 use crate::plan_cache::PlanCache;
 use crate::service_engine::{ParseCostParams, PreParser};
@@ -363,7 +364,7 @@ impl<'s> BootRequest<'s> {
     /// plan tweak was installed (tweaks act on the suffix plan — apply
     /// them on the resume request instead). Planning errors surface as
     /// usual; snapshot encoding failures as [`Error::Snapshot`].
-    pub fn checkpoint_at(self, phase: CheckpointPhase) -> Result<Checkpoint, Error> {
+    pub fn checkpoint_at(mut self, phase: CheckpointPhase) -> Result<Checkpoint, Error> {
         let CheckpointPhase::KernelHandoff = phase;
         if self.telemetry {
             return Err(Error::Checkpoint(
@@ -383,40 +384,18 @@ impl<'s> BootRequest<'s> {
                     .into(),
             ));
         }
-        // Resolve the full plan: a cache hit shares the compiled
-        // `Arc<OwnedPlan>` outright; a miss (or no cache) compiles it
-        // once — and a cache-attached request publishes the result so
-        // the *next* checkpoint or run of this (scenario, config)
-        // skips planning.
-        let plan: Arc<OwnedPlan> = match self.cache {
-            Some((cache, key)) => match cache.lookup(key, &self.cfg) {
-                Some(plan) => plan,
-                None => {
-                    let (ir, deltas) =
-                        Pipeline::standard().plan(self.scenario, &self.cfg, self.pre)?;
-                    let plan = Arc::new(OwnedPlan::capture(self.scenario, &ir, &deltas));
-                    cache.insert(key, &self.cfg, Arc::clone(&plan));
-                    plan
-                }
-            },
-            None => {
-                let (ir, deltas) = Pipeline::standard().plan(self.scenario, &self.cfg, self.pre)?;
-                Arc::new(OwnedPlan::capture(self.scenario, &ir, &deltas))
-            }
-        };
+        let plan = self.resolve()?;
         let no_faults = FaultPlan::none();
-        let faults = self.faults.unwrap_or(&no_faults);
-        let mut builder = self.builder;
-        let (machine, kernel, device) = execute_prefix_pooled(
+        let (machine, kernel, device) = execute_prefix(
             PrefixView::of_owned(&plan, self.scenario),
-            faults,
+            self.faults.unwrap_or(&no_faults),
             false,
-            builder.as_deref_mut(),
+            self.builder.as_deref_mut(),
         );
         let bytes = snapshot::save(&machine)?;
         // The prefix machine's job ends at the snapshot: recycle its
         // allocations for the resumes that follow.
-        if let Some(b) = builder {
+        if let Some(b) = self.builder {
             b.recycle(machine);
         }
         Ok(Checkpoint {
@@ -456,7 +435,7 @@ impl<'s> BootRequest<'s> {
     /// fault state), the prefix keys differ, or the scenario's machine
     /// configuration hashes differently from the checkpoint's.
     /// [`Error::Snapshot`] if the snapshot bytes fail validation.
-    pub fn resume(self, checkpoint: &Checkpoint) -> Result<Boot, Error> {
+    pub fn resume(mut self, checkpoint: &Checkpoint) -> Result<Boot, Error> {
         if self.telemetry {
             return Err(Error::Checkpoint(
                 "telemetry must be off to resume: the metrics sink is not snapshotted".into(),
@@ -483,102 +462,27 @@ impl<'s> BootRequest<'s> {
                 self.cfg.prefix_key()
             )));
         }
-        // Fast path: resuming the checkpoint's own configuration on the
-        // checkpoint's own scenario (with no tweak) reuses the plan the
-        // checkpoint already computed — planning is deterministic, so
-        // re-running it would reproduce the same IR at a double-digit
-        // share of the boot's host cost. The suffix executor borrows
-        // straight out of the stored plan, so this path performs no
-        // per-boot graph or task-table clones at all. Any mismatch
-        // falls through to the re-planning path below, which performs
-        // the authoritative validation.
-        let mut builder = self.builder;
-        if self.tweak.is_none() {
-            let restore =
-                |builder: Option<&mut MachineBuilder>, bytes: &[u8]| -> Result<Machine, Error> {
-                    Ok(match builder {
-                        Some(b) => b.restore(bytes)?,
-                        None => snapshot::restore(bytes)?,
-                    })
-                };
-            if checkpoint.plan.covers(self.scenario, &self.cfg) {
-                let machine = restore(builder.as_deref_mut(), &checkpoint.bytes)?;
-                let (report, machine) = execute_suffix_view(
-                    SuffixView::of_owned(&checkpoint.plan, self.scenario),
-                    checkpoint.plan.deltas().to_vec(),
-                    machine,
-                    checkpoint.kernel.clone(),
-                    checkpoint.device,
-                );
-                return Ok(Boot {
-                    report,
-                    machine,
-                    recoveries: Vec::new(),
-                });
-            }
-            // Second-fastest path: a plan cache hit for this (scenario,
-            // config) — typically a suffix-variant resume whose plan an
-            // earlier job already compiled. Same zero-clone suffix
-            // execution as above, with the checkpoint compatibility
-            // pinned by the machine-config hash.
-            if let Some((cache, key)) = self.cache {
-                if let Some(plan) = cache.lookup(key, &self.cfg) {
-                    if plan.covers(self.scenario, &self.cfg)
-                        && plan.machine_hash() == checkpoint.config_hash
-                    {
-                        let machine = restore(builder.as_deref_mut(), &checkpoint.bytes)?;
-                        let (report, machine) = execute_suffix_view(
-                            SuffixView::of_owned(&plan, self.scenario),
-                            plan.deltas().to_vec(),
-                            machine,
-                            checkpoint.kernel.clone(),
-                            checkpoint.device,
-                        );
-                        return Ok(Boot {
-                            report,
-                            machine,
-                            recoveries: Vec::new(),
-                        });
-                    }
-                }
-            }
-        }
-        let pipeline = Pipeline::standard();
-        let (mut ir, deltas) = pipeline.plan(self.scenario, &self.cfg, self.pre)?;
-        if snapshot::config_hash(&ir.machine) != checkpoint.config_hash {
+        // The one shortcut: resuming the checkpoint's own configuration
+        // on its own scenario (with no tweak) reuses the plan the
+        // checkpoint already carries; anything else goes through the
+        // resolver like every other boot.
+        let plan = if self.tweak.is_none() && checkpoint.plan.covers(self.scenario, &self.cfg) {
+            Arc::clone(&checkpoint.plan)
+        } else {
+            self.resolve()?
+        };
+        if plan.machine_hash() != checkpoint.config_hash {
             return Err(Error::Checkpoint(
                 "machine config mismatch: the scenario does not match the checkpoint's".into(),
             ));
         }
-        match self.tweak {
-            Some(tweak) => {
-                let BootPlanIr {
-                    ref graph,
-                    ref transaction,
-                    ref mut overrides,
-                    ..
-                } = ir;
-                tweak(graph, transaction, overrides);
-            }
-            None => {
-                // Publish the freshly compiled plan so the next resume
-                // of this (scenario, config) takes the cached path.
-                if let Some((cache, key)) = self.cache {
-                    cache.insert(
-                        key,
-                        &self.cfg,
-                        Arc::new(OwnedPlan::capture(self.scenario, &ir, &deltas)),
-                    );
-                }
-            }
-        }
-        let machine = match builder {
+        let machine = match self.builder {
             Some(b) => b.restore(&checkpoint.bytes)?,
             None => snapshot::restore(&checkpoint.bytes)?,
         };
         let (report, machine) = execute_suffix(
-            &ir,
-            deltas,
+            SuffixView::of_owned(&plan, self.scenario),
+            plan.deltas().to_vec(),
             machine,
             checkpoint.kernel.clone(),
             checkpoint.device,
@@ -596,105 +500,86 @@ impl<'s> BootRequest<'s> {
     pub fn run(mut self) -> Result<Boot, Error> {
         use crate::recovery::{validate_preparse_blob, ArtifactVerdict, RecoveryEvent};
         let mut recoveries = Vec::new();
-        if let Some(read) = self.artifact.take() {
-            if self.cfg.preparser {
-                let built;
-                let pre = match self.pre {
-                    Some(p) => p,
-                    None => {
-                        built = PreParser::build(&self.scenario.units);
-                        &built
-                    }
-                };
-                match validate_preparse_blob(
-                    read,
-                    &self.scenario.units,
-                    pre,
-                    &self.scenario.parse_params,
-                    &self.scenario.storage,
-                ) {
-                    ArtifactVerdict::Accepted { retries: 0, .. } => {}
-                    ArtifactVerdict::Accepted {
+        if let Some(read) = self.artifact.filter(|_| self.cfg.preparser) {
+            let built;
+            let pre = match self.pre {
+                Some(p) => p,
+                None => {
+                    built = PreParser::build(&self.scenario.units);
+                    &built
+                }
+            };
+            match validate_preparse_blob(
+                read,
+                &self.scenario.units,
+                pre,
+                &self.scenario.parse_params,
+                &self.scenario.storage,
+            ) {
+                ArtifactVerdict::Accepted { retries: 0, .. } => {}
+                ArtifactVerdict::Accepted {
+                    retries,
+                    retry_cost,
+                } => {
+                    recoveries.push(RecoveryEvent::transient_ok(
+                        crate::recovery::ArtifactKind::PreparseBlob,
                         retries,
                         retry_cost,
-                    } => {
-                        recoveries.push(RecoveryEvent::transient_ok(
-                            crate::recovery::ArtifactKind::PreparseBlob,
-                            retries,
-                            retry_cost,
-                        ));
-                    }
-                    ArtifactVerdict::Rejected(ev) => {
-                        // The cache is gone; this boot pays the
-                        // conventional parse path, exactly as a device
-                        // whose blob was discarded would.
-                        self.cfg.preparser = false;
-                        recoveries.push(ev);
-                    }
+                    ));
+                }
+                ArtifactVerdict::Rejected(ev) => {
+                    // The cache is gone; this boot pays the
+                    // conventional parse path, exactly as a device
+                    // whose blob was discarded would.
+                    self.cfg.preparser = false;
+                    recoveries.push(ev);
                 }
             }
         }
-        let mut boot = self.execute()?;
-        boot.recoveries = recoveries;
-        Ok(boot)
-    }
-
-    /// The planning/execution body shared by the cached and plain
-    /// paths (artifact validation already resolved by `run`).
-    fn execute(self) -> Result<Boot, Error> {
+        let plan = self.resolve()?;
         let no_faults = FaultPlan::none();
-        // Cached path: a plan compiled earlier for this (scenario,
-        // config) is executed as-is — prefix and suffix both borrow out
-        // of the shared `OwnedPlan`, so a cache hit re-plans nothing
-        // and clones nothing. Tweaked requests never share plans.
-        if self.tweak.is_none() {
-            if let Some((cache, key)) = self.cache {
-                if let Some(plan) = cache.lookup(key, &self.cfg) {
-                    let faults = self.faults.unwrap_or(&no_faults);
-                    let (report, machine) = execute_pooled_owned(
-                        &plan,
-                        self.scenario,
-                        faults,
-                        self.telemetry,
-                        self.builder,
-                    );
-                    return Ok(Boot {
-                        report,
-                        machine,
-                        recoveries: Vec::new(),
-                    });
-                }
-            }
-        }
-        let pipeline = Pipeline::standard();
-        let (mut ir, deltas) = pipeline.plan(self.scenario, &self.cfg, self.pre)?;
-        match self.tweak {
-            Some(tweak) => {
-                let BootPlanIr {
-                    ref graph,
-                    ref transaction,
-                    ref mut overrides,
-                    ..
-                } = ir;
-                tweak(graph, transaction, overrides);
-            }
-            None => {
-                if let Some((cache, key)) = self.cache {
-                    cache.insert(
-                        key,
-                        &self.cfg,
-                        Arc::new(OwnedPlan::capture(self.scenario, &ir, &deltas)),
-                    );
-                }
-            }
-        }
-        let faults = self.faults.unwrap_or(&no_faults);
-        let (report, machine) = execute_pooled(&ir, deltas, faults, self.telemetry, self.builder);
+        let (machine, kernel, device) = execute_prefix(
+            PrefixView::of_owned(&plan, self.scenario),
+            self.faults.unwrap_or(&no_faults),
+            self.telemetry,
+            self.builder,
+        );
+        let (report, machine) = execute_suffix(
+            SuffixView::of_owned(&plan, self.scenario),
+            plan.deltas().to_vec(),
+            machine,
+            kernel,
+            device,
+        );
         Ok(Boot {
             report,
             machine,
-            recoveries: Vec::new(),
+            recoveries,
         })
+    }
+
+    /// The one plan resolver behind [`run`](Self::run),
+    /// [`checkpoint_at`](Self::checkpoint_at) and
+    /// [`resume`](Self::resume). A cache hit shares the compiled plan
+    /// outright; a miss runs [`Pipeline::plan`], applies the tweak, and
+    /// moves the IR into a fresh [`OwnedPlan`]. The plan is published
+    /// only when the request is untweaked and has a cache attached, so
+    /// the next boot of this (scenario, config) skips planning.
+    fn resolve(&mut self) -> Result<Arc<OwnedPlan>, Error> {
+        let tweak = self.tweak.take();
+        let cache = self.cache.filter(|_| tweak.is_none());
+        if let Some(plan) = cache.and_then(|(cache, key)| cache.lookup(key, &self.cfg)) {
+            return Ok(plan);
+        }
+        let (mut ir, deltas) = Pipeline::standard().plan(self.scenario, &self.cfg, self.pre)?;
+        if let Some(tweak) = tweak {
+            tweak(&ir.graph, &ir.transaction, &mut ir.overrides);
+        }
+        let plan = Arc::new(OwnedPlan::new(self.scenario, ir, deltas));
+        if let Some((cache, key)) = cache {
+            cache.insert(key, &self.cfg, Arc::clone(&plan));
+        }
+        Ok(plan)
     }
 }
 

@@ -23,7 +23,7 @@ pub enum Error {
     /// The transaction could not be built.
     Transaction(TransactionError),
     /// A supervised boot abandoned the fast path (see
-    /// [`crate::fallback::run_with_fallback`]).
+    /// [`crate::fallback::run_with_fallback_recovering`]).
     Fallback(FallbackReason),
     /// A fleet job failed (see `bb_fleet`).
     Job(JobError),

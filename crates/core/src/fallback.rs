@@ -6,10 +6,13 @@
 //! is a *supervised* fast path — if the BB-shaped boot misses its
 //! deadline or a supervised unit exhausts its start limit, the firmware
 //! falls back to the conventional boot shape, which trades speed for
-//! the battle-tested plan. This module reproduces that supervisor:
+//! the battle-tested plan. This module reproduces that supervisor in
+//! one entry point, [`run_with_fallback_recovering`], a thin driver over
+//! [`BootRequest`]:
 //!
 //! 1. run the pass-transformed (BB) plan with an optional
-//!    [`FaultPlan`] installed;
+//!    [`FaultPlan`] installed and an optional pre-parse artifact
+//!    validated;
 //! 2. judge the attempt against a [`FallbackPolicy`];
 //! 3. on failure, re-plan the *same* scenario in conventional shape
 //!    (no BB pass applied) and boot again, fault-free — the transient
@@ -22,10 +25,10 @@
 
 use bb_sim::{FaultPlan, FaultTargets, SimDuration, SimTime};
 
-use crate::booster::{FullBootReport, Scenario};
+use crate::booster::{Boot, BootRequest, FullBootReport, Scenario};
 use crate::config::BbConfig;
 use crate::error::Error;
-use crate::pipeline::{execute_with_faults, Pipeline};
+use crate::recovery::{ArtifactRead, RecoveryEvent};
 use crate::service_engine::PreParser;
 
 /// When the boot supervisor declares the fast path failed.
@@ -129,22 +132,44 @@ impl BootOutcome {
     }
 }
 
-/// Runs `scenario` under `cfg` with `faults` installed, falling back to
-/// a fault-free conventional boot when `policy` is violated.
+/// The supervised boot — the one entry point for §3.4-style fallback.
 ///
-/// `pre` follows the [`crate::booster::BootRequest::prepared`]
-/// contract: pass pre-built [`PreParser`] measurements when sweeping,
-/// `None` otherwise.
-pub fn run_with_fallback(
+/// Boots `scenario` under `cfg` with `faults` installed and, when
+/// given, the pre-parse `artifact` as read back from storage; falls
+/// back to a fault-free conventional boot when `policy` is violated.
+/// Both boots are plain [`BootRequest::run`] calls, so artifact
+/// validation happens where it does for every other boot: a rejected
+/// artifact turns the Pre-parser off for the BB attempt (the timeline
+/// of a device whose cache was discarded), and the recoveries come
+/// back alongside the outcome. A conventional `cfg` never reads the
+/// cache, so damage to it cannot affect that timeline.
+///
+/// `pre` follows the [`BootRequest::prepared`] contract: pass pre-built
+/// [`PreParser`] measurements when sweeping, `None` otherwise.
+pub fn run_with_fallback_recovering(
     scenario: &Scenario,
     cfg: &BbConfig,
     pre: Option<&PreParser>,
+    artifact: Option<&ArtifactRead>,
     faults: &FaultPlan,
     policy: &FallbackPolicy,
-) -> Result<BootOutcome, Error> {
-    let pipeline = Pipeline::standard();
-    let (ir, deltas) = pipeline.plan(scenario, cfg, pre)?;
-    let (bb, _) = execute_with_faults(&ir, deltas, faults);
+) -> Result<(BootOutcome, Vec<RecoveryEvent>), Error> {
+    let request = |cfg: BbConfig| {
+        let request = BootRequest::new(scenario).config(cfg);
+        match pre {
+            Some(pre) => request.prepared(pre),
+            None => request,
+        }
+    };
+    let mut attempt = request(*cfg).faults(faults);
+    if let Some(read) = artifact {
+        attempt = attempt.preparse_artifact(read);
+    }
+    let Boot {
+        report: bb,
+        recoveries,
+        ..
+    } = attempt.run()?;
 
     let limit_hit = bb
         .boot
@@ -164,7 +189,7 @@ pub fn run_with_fallback(
         }
     };
     let Some(reason) = reason else {
-        return Ok(BootOutcome::Completed(Box::new(bb)));
+        return Ok((BootOutcome::Completed(Box::new(bb)), recoveries));
     };
 
     // The supervisor notices a completed-but-bad boot immediately and a
@@ -173,15 +198,15 @@ pub fn run_with_fallback(
         Some(t) => t.since(SimTime::ZERO).min(policy.deadline),
         None => policy.deadline,
     };
-    let (conv_ir, conv_deltas) = pipeline.plan(scenario, &BbConfig::conventional(), pre)?;
-    let (conventional, _) = execute_with_faults(&conv_ir, conv_deltas, &FaultPlan::none());
+    let conventional = request(BbConfig::conventional()).run()?.report;
     let total_boot = conventional.boot_time() + detected_after;
-    Ok(BootOutcome::Degraded(Box::new(DegradedBoot {
+    let outcome = BootOutcome::Degraded(Box::new(DegradedBoot {
         bb,
         conventional,
         reason,
         total_boot,
-    })))
+    }));
+    Ok((outcome, recoveries))
 }
 
 /// Overlays supervision settings on every service unit of a scenario:
@@ -226,6 +251,14 @@ mod tests {
     use bb_init::RestartPolicy;
     use bb_sim::Fault;
 
+    /// A full-BB supervised boot with no pre-parse artifact.
+    fn supervised(s: &Scenario, faults: &FaultPlan, policy: &FallbackPolicy) -> BootOutcome {
+        let (out, recoveries) =
+            run_with_fallback_recovering(s, &BbConfig::full(), None, None, faults, policy).unwrap();
+        assert!(recoveries.is_empty(), "no artifact, no recoveries");
+        out
+    }
+
     fn crash(process: &str, hits: u32) -> FaultPlan {
         FaultPlan {
             faults: vec![Fault::CrashAtReadiness {
@@ -239,14 +272,7 @@ mod tests {
     #[test]
     fn fault_free_boot_is_not_degraded() {
         let s = mini_tv();
-        let out = run_with_fallback(
-            &s,
-            &BbConfig::full(),
-            None,
-            &FaultPlan::none(),
-            &FallbackPolicy::default(),
-        )
-        .unwrap();
+        let out = supervised(&s, &FaultPlan::none(), &FallbackPolicy::default());
         assert!(!out.is_degraded());
         assert_eq!(out.restarts(), 0);
     }
@@ -256,14 +282,7 @@ mod tests {
         // dbus (a BB-group member) crashes once; Restart= respawns it
         // and the boost still completes on the fast path.
         let s = with_supervision(&mini_tv(), RestartPolicy::OnFailure, 50, 3);
-        let out = run_with_fallback(
-            &s,
-            &BbConfig::full(),
-            None,
-            &crash("dbus.service", 1),
-            &FallbackPolicy::default(),
-        )
-        .unwrap();
+        let out = supervised(&s, &crash("dbus.service", 1), &FallbackPolicy::default());
         match out {
             BootOutcome::Completed(r) => {
                 assert_eq!(r.boot.service("dbus.service").restarts, 1);
@@ -282,14 +301,7 @@ mod tests {
         // every attempt bricks the fast path; the supervisor reboots
         // into the conventional shape and the TV still comes up.
         let s = with_supervision(&mini_tv(), RestartPolicy::OnFailure, 50, 2);
-        let out = run_with_fallback(
-            &s,
-            &BbConfig::full(),
-            None,
-            &crash("dbus.service", 10),
-            &FallbackPolicy::default(),
-        )
-        .unwrap();
+        let out = supervised(&s, &crash("dbus.service", 10), &FallbackPolicy::default());
         let BootOutcome::Degraded(d) = out else {
             panic!("persistent crash should degrade the boot");
         };
@@ -313,14 +325,7 @@ mod tests {
         let policy = FallbackPolicy {
             deadline: SimDuration::from_millis(12_000),
         };
-        let out = run_with_fallback(
-            &s,
-            &BbConfig::full(),
-            None,
-            &crash("tuner.service", 1),
-            &policy,
-        )
-        .unwrap();
+        let out = supervised(&s, &crash("tuner.service", 1), &policy);
         let BootOutcome::Degraded(d) = out else {
             panic!("crashed completion dependency should degrade");
         };

@@ -21,7 +21,7 @@
 //! * [`fallback`] — the boot supervisor: run the BB shape under an
 //!   injected [`bb_sim::FaultPlan`] and fall back to the conventional
 //!   shape when the deadline or a start limit trips (§3.4 deployment
-//!   safety).
+//!   safety), all through [`fallback::run_with_fallback_recovering`].
 //! * [`recovery`] — artifact integrity & recovery: validate the
 //!   checksummed boot artifacts (pre-parse blob, snapshot image),
 //!   retry transient reads with bounded backoff, and boot on without a
@@ -55,19 +55,15 @@ pub use booster::{Boot, BootRequest, Checkpoint, CheckpointPhase, FullBootReport
 pub use config::BbConfig;
 pub use error::{Error, JobError};
 pub use fallback::{
-    fault_targets, run_with_fallback, with_supervision, BootOutcome, DegradedBoot, FallbackPolicy,
-    FallbackReason,
+    fault_targets, run_with_fallback_recovering, with_supervision, BootOutcome, DegradedBoot,
+    FallbackPolicy, FallbackReason,
 };
 pub use miner::{mine, EdgeSlack, MiningReport};
-pub use pipeline::{
-    execute_instrumented, execute_with_faults, BootPlanIr, PassDelta, Pipeline, PlanPass,
-    STANDARD_PASSES,
-};
+pub use pipeline::{BootPlanIr, PassDelta, Pipeline, PlanPass, STANDARD_PASSES};
 pub use plan_cache::{PlanCache, PlanCacheStats};
 pub use recovery::{
-    resume_or_cold_boot, run_with_fallback_recovering, validate_preparse_blob, ArtifactKind,
-    ArtifactRead, ArtifactVerdict, RecoveryAction, RecoveryEvent, RecoveryReason,
-    MAX_ARTIFACT_RETRIES,
+    resume_or_cold_boot, validate_preparse_blob, ArtifactKind, ArtifactRead, ArtifactVerdict,
+    RecoveryAction, RecoveryEvent, RecoveryReason, MAX_ARTIFACT_RETRIES,
 };
 pub use report::{attribution_table, Comparison, Row};
 pub use service_engine::{

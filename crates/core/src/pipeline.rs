@@ -15,9 +15,10 @@
 //! Pass order is fixed and significant only where passes share IR
 //! fields (the two `bb_group` passes both derive the group; the
 //! isolator runs first). Passes only transform the IR; machine-visible
-//! execution is entirely in [`execute`], which replays the exact
-//! op order of the pre-pipeline facade so boot timelines are
-//! bit-identical to the old `boost` path.
+//! execution is one prefix executor (through the kernel→init handoff)
+//! and one suffix executor (the init scheme onward). [`execute`]
+//! composes the two over a fresh IR; [`crate::BootRequest`] composes
+//! them over a resolved plan, or splits them around a checkpoint.
 
 use std::collections::BTreeSet;
 
@@ -667,137 +668,22 @@ impl Pipeline {
         }
         Ok((ir, deltas))
     }
-
-    /// Plans and executes `scenario` under `cfg`.
-    pub fn run(&self, scenario: &Scenario, cfg: &BbConfig) -> Result<FullBootReport, Error> {
-        self.run_with_machine(scenario, cfg).map(|(r, _)| r)
-    }
-
-    /// [`Pipeline::run`], also returning the machine (for bootcharts).
-    pub fn run_with_machine(
-        &self,
-        scenario: &Scenario,
-        cfg: &BbConfig,
-    ) -> Result<(FullBootReport, Machine), Error> {
-        let (ir, deltas) = self.plan(scenario, cfg, None)?;
-        Ok(execute(&ir, deltas))
-    }
-
-    /// [`Pipeline::run`] with pre-built [`PreParser`] measurements (the
-    /// sweep-amortized entry point).
-    pub fn run_prepared(
-        &self,
-        scenario: &Scenario,
-        cfg: &BbConfig,
-        pre: &PreParser,
-    ) -> Result<FullBootReport, Error> {
-        let (ir, deltas) = self.plan(scenario, cfg, Some(pre))?;
-        Ok(execute(&ir, deltas).0)
-    }
-
-    /// [`Pipeline::run_with_machine`], letting the caller adjust the
-    /// plan overrides after the passes ran — e.g. the §4.2 experiment
-    /// that manually isolates *only* `var.mount`.
-    pub fn run_custom(
-        &self,
-        scenario: &Scenario,
-        cfg: &BbConfig,
-        tweak: impl FnOnce(&UnitGraph, &Transaction, &mut PlanOverrides),
-    ) -> Result<(FullBootReport, Machine), Error> {
-        let (mut ir, deltas) = self.plan(scenario, cfg, None)?;
-        {
-            let BootPlanIr {
-                ref graph,
-                ref transaction,
-                ref mut overrides,
-                ..
-            } = ir;
-            tweak(graph, transaction, overrides);
-        }
-        Ok(execute(&ir, deltas))
-    }
 }
 
-/// Executes a (pass-transformed) plan end to end, replaying the exact
-/// machine-op order of the pre-pipeline facade: kernel boot, RCU
-/// Booster Control, module handling, then the init scheme via
-/// [`bb_init::run_boot`].
+/// Executes a (pass-transformed) plan end to end: the boot prefix
+/// (kernel boot, RCU Booster Control, module handling) then the suffix
+/// (the init scheme via [`bb_init::run_boot`]) on a fresh machine,
+/// fault-free and with telemetry off. [`crate::BootRequest::run`] is
+/// the same composition over a resolved plan, with its faults,
+/// telemetry and machine pool.
 pub fn execute(ir: &BootPlanIr<'_>, deltas: Vec<PassDelta>) -> (FullBootReport, Machine) {
-    execute_with_faults(ir, deltas, &bb_sim::FaultPlan::none())
-}
-
-/// [`execute`] with a [`bb_sim::FaultPlan`] installed before the kernel
-/// boots, so device faults afflict kernel-phase reads too. Installing
-/// the empty plan is a strict no-op: the fault-free path is
-/// bit-identical to [`execute`].
-pub fn execute_with_faults(
-    ir: &BootPlanIr<'_>,
-    deltas: Vec<PassDelta>,
-    faults: &bb_sim::FaultPlan,
-) -> (FullBootReport, Machine) {
-    execute_instrumented(ir, deltas, faults, false)
-}
-
-/// [`execute_with_faults`] with the machine's telemetry sink optionally
-/// armed before any work runs, so every RCU wait, dispatch, and I/O
-/// completion of the boot lands in the metrics registry. With
-/// `telemetry` false this is exactly [`execute_with_faults`]: the sink
-/// stays absent and the hot paths reduce to an `is_some()` check, so
-/// timelines are bit-identical either way (the proptest in
-/// `tests/full_boot.rs` pins this).
-pub fn execute_instrumented(
-    ir: &BootPlanIr<'_>,
-    deltas: Vec<PassDelta>,
-    faults: &bb_sim::FaultPlan,
-    telemetry: bool,
-) -> (FullBootReport, Machine) {
-    execute_pooled(ir, deltas, faults, telemetry, None)
-}
-
-/// [`execute_instrumented`] drawing the machine from a caller-held
-/// [`MachineBuilder`] pool when one is supplied, so a loop that runs
-/// many boots (a fleet cell, a sweep) reuses one machine's allocations
-/// across jobs instead of re-growing every table from empty. The
-/// builder contract guarantees recycled machines are observationally
-/// identical to fresh ones, so results are bit-identical either way.
-pub(crate) fn execute_pooled(
-    ir: &BootPlanIr<'_>,
-    deltas: Vec<PassDelta>,
-    faults: &bb_sim::FaultPlan,
-    telemetry: bool,
-    builder: Option<&mut bb_sim::MachineBuilder>,
-) -> (FullBootReport, Machine) {
-    let (machine, kernel, device) =
-        execute_prefix_pooled(PrefixView::of_ir(ir), faults, telemetry, builder);
-    execute_suffix(ir, deltas, machine, kernel, device)
-}
-
-/// Executes a cached [`OwnedPlan`] end to end — the zero-clone path a
-/// [`crate::PlanCache`] hit takes: prefix and suffix both borrow
-/// straight out of the stored plan (plus the scenario's read-only
-/// inputs), so nothing is re-planned and nothing is cloned per boot.
-/// Planning is deterministic, so the timeline is bit-identical to a
-/// fresh [`Pipeline::plan`] + execute of the same (scenario, config).
-pub(crate) fn execute_pooled_owned(
-    plan: &OwnedPlan,
-    scenario: &Scenario,
-    faults: &bb_sim::FaultPlan,
-    telemetry: bool,
-    builder: Option<&mut bb_sim::MachineBuilder>,
-) -> (FullBootReport, Machine) {
-    let (machine, kernel, device) = execute_prefix_pooled(
-        PrefixView::of_owned(plan, scenario),
-        faults,
-        telemetry,
-        builder,
+    let (machine, kernel, device) = execute_prefix(
+        PrefixView::of_ir(ir),
+        &bb_sim::FaultPlan::none(),
+        false,
+        None,
     );
-    execute_suffix_view(
-        SuffixView::of_owned(plan, scenario),
-        plan.deltas().to_vec(),
-        machine,
-        kernel,
-        device,
-    )
+    execute_suffix(SuffixView::of_ir(ir), deltas, machine, kernel, device)
 }
 
 /// Borrowed view of the plan pieces the boot *prefix* needs —
@@ -808,11 +694,10 @@ pub(crate) fn execute_pooled_owned(
 /// beyond the machine itself are the kernel report and the
 /// boot-storage device id.
 ///
-/// Constructible
-/// from a fresh [`BootPlanIr`] or straight from an [`OwnedPlan`] — the
-/// [`crate::PlanCache`] hit paths go through the latter so a cached
-/// boot (or checkpoint) never re-plans and never clones the kernel
-/// plan.
+/// Constructible from a fresh [`BootPlanIr`] (for [`execute`]) or from
+/// a resolved [`OwnedPlan`] (for every [`crate::BootRequest`] path), so
+/// a cached boot or checkpoint never re-plans and never clones the
+/// kernel plan.
 pub(crate) struct PrefixView<'a> {
     machine: MachineConfig,
     storage: DeviceProfile,
@@ -823,7 +708,7 @@ pub(crate) struct PrefixView<'a> {
 }
 
 impl<'a> PrefixView<'a> {
-    pub(crate) fn of_ir(ir: &'a BootPlanIr<'_>) -> Self {
+    fn of_ir(ir: &'a BootPlanIr<'_>) -> Self {
         PrefixView {
             machine: ir.machine,
             storage: ir.storage,
@@ -846,10 +731,13 @@ impl<'a> PrefixView<'a> {
     }
 }
 
-/// Executes the boot prefix described by `view`, constructing the
-/// machine through `builder` when one is supplied (allocation reuse
-/// across boots).
-pub(crate) fn execute_prefix_pooled(
+/// Executes the boot prefix described by `view` with `faults` installed
+/// before the kernel boots (the empty plan is a strict no-op) and the
+/// telemetry sink armed when asked (it never perturbs the timeline),
+/// constructing the machine through `builder` when one is supplied
+/// (allocation reuse across boots; recycled machines are
+/// observationally identical to fresh ones).
+pub(crate) fn execute_prefix(
     view: PrefixView<'_>,
     faults: &bb_sim::FaultPlan,
     telemetry: bool,
@@ -878,25 +766,10 @@ pub(crate) fn execute_prefix_pooled(
     (machine, kernel, device)
 }
 
-/// The boot *suffix*: the init scheme and everything after it, resumed
-/// on a machine that already completed [`execute_prefix`] (freshly, or
-/// restored from a snapshot). Composing prefix + suffix replays the
-/// exact machine-op order of the unsplit path, so boot timelines are
-/// bit-identical.
-pub(crate) fn execute_suffix(
-    ir: &BootPlanIr<'_>,
-    deltas: Vec<PassDelta>,
-    machine: Machine,
-    kernel: bb_kernel::KernelReport,
-    device: bb_sim::DeviceId,
-) -> (FullBootReport, Machine) {
-    execute_suffix_view(SuffixView::of_ir(ir), deltas, machine, kernel, device)
-}
-
-/// Borrowed view of the plan pieces the suffix needs, constructible
-/// from a fresh [`BootPlanIr`] or straight from a [`OwnedPlan`] — the
-/// resume hot path goes through the latter so a fleet job never clones
-/// the unit graph or task tables per boot.
+/// Borrowed view of the plan pieces the boot *suffix* needs,
+/// constructible from a fresh [`BootPlanIr`] or from a resolved
+/// [`OwnedPlan`] — the latter is how a fleet job resumes without
+/// cloning the unit graph or task tables per boot.
 pub(crate) struct SuffixView<'a> {
     cfg: BbConfig,
     graph: &'a UnitGraph,
@@ -912,7 +785,7 @@ pub(crate) struct SuffixView<'a> {
 }
 
 impl<'a> SuffixView<'a> {
-    pub(crate) fn of_ir(ir: &'a BootPlanIr<'_>) -> Self {
+    fn of_ir(ir: &'a BootPlanIr<'_>) -> Self {
         SuffixView {
             cfg: ir.cfg,
             graph: &ir.graph,
@@ -945,7 +818,12 @@ impl<'a> SuffixView<'a> {
     }
 }
 
-pub(crate) fn execute_suffix_view(
+/// The boot *suffix*: the init scheme and everything after it, resumed
+/// on a machine that already completed [`execute_prefix`] (freshly, or
+/// restored from a snapshot). Composing prefix + suffix replays the
+/// exact machine-op order of an unsplit boot, so timelines are
+/// bit-identical either way.
+pub(crate) fn execute_suffix(
     view: SuffixView<'_>,
     deltas: Vec<PassDelta>,
     mut machine: Machine,
@@ -991,22 +869,20 @@ pub(crate) fn execute_suffix_view(
     )
 }
 
-/// An owned copy of everything a planned boot needs — the full prefix
-/// (machine shape, storage, transformed kernel plan, module strategy,
-/// RCU install flag) *and* the suffix (graph, transaction, overrides,
-/// task tables, load model) — plus the pass deltas that produced it and
+/// Everything a planned boot needs, owned — the full prefix (machine
+/// shape, storage, transformed kernel plan, module strategy, RCU
+/// install flag) *and* the suffix (graph, transaction, overrides, task
+/// tables, load model) — plus the pass deltas that produced it and
 /// enough scenario identity to tell when it can be reused.
 ///
-/// A [`crate::Checkpoint`] carries one behind an `Arc`: resuming under
-/// the checkpoint's own configuration (the common case — a fleet fork
-/// resumes the checkpointing config itself, and a suspend/resume cycle
-/// never changes config) then skips [`Pipeline::plan`] entirely, which
-/// is a double-digit share of a simulated boot's host cost. A
-/// [`crate::PlanCache`] holds them too, so whole sweeps share one
-/// compiled plan per (scenario, config). Planning is deterministic, so
-/// the reused plan is the plan a fresh [`Pipeline::plan`] call would
-/// have produced and the timeline stays bit-identical.
-#[derive(Debug, Clone)]
+/// [`crate::BootRequest`] resolves every boot to one of these behind an
+/// `Arc`: a [`crate::PlanCache`] shares them across a whole sweep (one
+/// compiled plan per (scenario, config)), and a [`crate::Checkpoint`]
+/// carries its own so a resume under the checkpoint's configuration
+/// skips [`Pipeline::plan`] entirely. Planning is deterministic, so a
+/// reused plan is the plan a fresh [`Pipeline::plan`] call would have
+/// produced and the timeline stays bit-identical.
+#[derive(Debug)]
 pub(crate) struct OwnedPlan {
     name: String,
     units_len: usize,
@@ -1030,12 +906,12 @@ pub(crate) struct OwnedPlan {
 }
 
 impl OwnedPlan {
-    /// Copies the owned parts of `ir` (freshly planned from `scenario`)
-    /// and the pass deltas into a scenario-independent plan.
-    pub(crate) fn capture(
+    /// Moves the owned parts of `ir` (freshly planned from `scenario`)
+    /// and its pass deltas into a scenario-independent plan.
+    pub(crate) fn new(
         scenario: &Scenario,
-        ir: &BootPlanIr<'_>,
-        deltas: &[PassDelta],
+        ir: BootPlanIr<'_>,
+        deltas: Vec<PassDelta>,
     ) -> OwnedPlan {
         OwnedPlan {
             name: scenario.name.clone(),
@@ -1044,23 +920,23 @@ impl OwnedPlan {
             cfg: ir.cfg,
             machine: ir.machine,
             storage: ir.storage,
-            kernel: ir.kernel.clone(),
+            kernel: ir.kernel,
             module_strategy: ir.module_strategy,
             boost_rcu: ir.boost_rcu,
-            graph: ir.graph.clone(),
-            transaction: ir.transaction.clone(),
-            completion: ir.completion.clone(),
-            overrides: ir.overrides.clone(),
-            init_tasks: ir.init_tasks.clone(),
-            service_phase_tasks: ir.service_phase_tasks.clone(),
-            execution_order: ir.execution_order.clone(),
+            graph: ir.graph,
+            transaction: ir.transaction,
+            completion: ir.completion,
+            overrides: ir.overrides,
+            init_tasks: ir.init_tasks,
+            service_phase_tasks: ir.service_phase_tasks,
+            execution_order: ir.execution_order,
             load: ir.load,
             manager_costs: ir.manager_costs,
-            deltas: deltas.to_vec(),
+            deltas,
         }
     }
 
-    /// The pass deltas recorded when this plan was captured.
+    /// The pass deltas recorded when this plan was compiled.
     pub(crate) fn deltas(&self) -> &[PassDelta] {
         &self.deltas
     }
@@ -1074,9 +950,8 @@ impl OwnedPlan {
     /// Whether booting `scenario` under `cfg` can reuse this plan
     /// verbatim. Conservative: any mismatch (different config, renamed
     /// scenario, changed unit count or machine shape) sends the caller
-    /// down the re-planning path, which performs the authoritative
-    /// validation — reuse is purely an optimization, never a semantic
-    /// fork.
+    /// to the plan resolver — reuse is purely an optimization, never a
+    /// semantic fork.
     pub(crate) fn covers(&self, scenario: &Scenario, cfg: &BbConfig) -> bool {
         self.cfg == *cfg
             && self.name == scenario.name
@@ -1089,7 +964,6 @@ impl OwnedPlan {
 mod tests {
     use super::*;
     use crate::booster::tests::mini_tv;
-    use crate::booster::BootRequest;
 
     #[test]
     fn standard_pipeline_has_the_seven_passes_in_order() {
@@ -1160,20 +1034,5 @@ mod tests {
         assert!(ir.overrides.isolate.is_empty());
         assert!(ir.init_tasks.iter().all(|t| !t.deferred));
         assert!(!ir.boost_rcu);
-    }
-
-    #[test]
-    fn pipeline_run_matches_boot_request() {
-        let s = mini_tv();
-        let p = Pipeline::standard();
-        for cfg in [BbConfig::conventional(), BbConfig::full()] {
-            let via_pipeline = p.run(&s, &cfg).unwrap();
-            let via_facade = BootRequest::new(&s).config(cfg).run().unwrap().report;
-            assert_eq!(
-                via_pipeline.boot.completion_time,
-                via_facade.boot.completion_time
-            );
-            assert_eq!(via_pipeline.quiesce_time, via_facade.quiesce_time);
-        }
     }
 }

@@ -163,7 +163,9 @@ impl std::fmt::Debug for PlanCache {
 mod tests {
     use super::*;
     use crate::booster::tests::mini_tv;
-    use crate::booster::BootRequest;
+    use crate::booster::{BootRequest, CheckpointPhase};
+    use crate::error::Error;
+    use bb_init::UnitName;
 
     #[test]
     fn hits_require_the_same_arc_not_just_equal_content() {
@@ -232,5 +234,76 @@ mod tests {
         assert_eq!(cache.len(), 1);
         let s2 = Arc::new(mini_tv());
         assert!(cache.lookup(&s2, &BbConfig::full()).is_none());
+    }
+
+    #[test]
+    fn tweaked_requests_apply_the_tweak_and_never_touch_the_cache() {
+        let cache = PlanCache::new();
+        let s = Arc::new(mini_tv());
+        let boot = BootRequest::new(&s)
+            .config(BbConfig::conventional())
+            .plan_cache(&cache, &s)
+            .tweak(|graph, _tx, overrides| {
+                overrides.isolate.insert(graph.idx_of("var.mount"));
+            })
+            .run()
+            .unwrap();
+        assert_eq!(boot.report.bb_group, [UnitName::new("var.mount")]);
+        let stats = cache.stats();
+        assert_eq!((stats.plans_compiled, stats.hits, stats.entries), (0, 0, 0));
+        assert_eq!(cache.len(), 0);
+    }
+
+    #[test]
+    fn run_checkpoint_resume_compile_once_through_one_cache() {
+        let cache = PlanCache::new();
+        let s = Arc::new(mini_tv());
+        let cfg = BbConfig::full();
+        let straight = BootRequest::new(&s)
+            .config(cfg)
+            .plan_cache(&cache, &s)
+            .run()
+            .unwrap();
+        let ckpt = BootRequest::new(&s)
+            .config(cfg)
+            .plan_cache(&cache, &s)
+            .checkpoint_at(CheckpointPhase::KernelHandoff)
+            .unwrap();
+        let resumed = BootRequest::new(&s)
+            .config(cfg)
+            .plan_cache(&cache, &s)
+            .resume(&ckpt)
+            .unwrap();
+        assert_eq!(cache.stats().plans_compiled, 1);
+        assert_eq!(cache.len(), 1);
+        assert_eq!(
+            straight.report.boot.completion_time,
+            resumed.report.boot.completion_time
+        );
+        assert_eq!(straight.report.deltas, resumed.report.deltas);
+    }
+
+    #[test]
+    fn cached_resume_still_rejects_a_different_machine_shape() {
+        let cache = PlanCache::new();
+        let s = mini_tv();
+        let ckpt = BootRequest::new(&s)
+            .checkpoint_at(CheckpointPhase::KernelHandoff)
+            .unwrap();
+        let mut other = mini_tv();
+        other.machine.cores = 2;
+        let other = Arc::new(other);
+        // First resume compiles `other`'s plan, the second hits it; the
+        // machine-config check rejects both.
+        for _ in 0..2 {
+            assert!(matches!(
+                BootRequest::new(&other)
+                    .plan_cache(&cache, &other)
+                    .resume(&ckpt),
+                Err(Error::Checkpoint(_))
+            ));
+        }
+        assert_eq!(cache.stats().plans_compiled, 1);
+        assert_eq!(cache.stats().hits, 1);
     }
 }

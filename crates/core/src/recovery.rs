@@ -26,12 +26,11 @@
 //! recovery *costs* instead of just counting weird boots.
 
 use bb_init::{blob_content_hash, decode_units, unit_set_hash, LoadModel, Unit};
-use bb_sim::{AccessPattern, CorruptionPlan, DeviceProfile, FaultPlan, SimDuration, SimTime};
+use bb_sim::{AccessPattern, CorruptionPlan, DeviceProfile, SimDuration, SimTime};
 
 use crate::booster::{Boot, BootRequest, Checkpoint, Scenario};
 use crate::config::BbConfig;
 use crate::error::Error;
-use crate::fallback::{run_with_fallback, BootOutcome, FallbackPolicy};
 use crate::service_engine::{ParseCostParams, PreParser};
 
 /// How many times a transiently failing artifact read is retried before
@@ -376,69 +375,14 @@ fn cold_boot(
     Ok(boot)
 }
 
-/// [`run_with_fallback`] with an optional pre-parse artifact in front:
-/// the sweep-facing entry the chaos grid's corruption axis uses.
-///
-/// The artifact is only consulted when `cfg` actually uses the
-/// Pre-parser — a conventional boot never reads the cache, so damage to
-/// it cannot affect that timeline. A rejected artifact flips the
-/// Pre-parser off for this boot (the timeline of a device whose cache
-/// was discarded) and the recovery is returned alongside the outcome.
-pub fn run_with_fallback_recovering(
-    scenario: &Scenario,
-    cfg: &BbConfig,
-    pre: Option<&PreParser>,
-    artifact: Option<&ArtifactRead>,
-    faults: &FaultPlan,
-    policy: &FallbackPolicy,
-) -> Result<(BootOutcome, Vec<RecoveryEvent>), Error> {
-    let mut events = Vec::new();
-    let mut cfg = *cfg;
-    if cfg.preparser {
-        if let Some(read) = artifact {
-            let built;
-            let pre = match pre {
-                Some(p) => p,
-                None => {
-                    built = PreParser::build(&scenario.units);
-                    &built
-                }
-            };
-            match validate_preparse_blob(
-                read,
-                &scenario.units,
-                pre,
-                &scenario.parse_params,
-                &scenario.storage,
-            ) {
-                ArtifactVerdict::Accepted { retries: 0, .. } => {}
-                ArtifactVerdict::Accepted {
-                    retries,
-                    retry_cost,
-                } => {
-                    events.push(RecoveryEvent::transient_ok(
-                        ArtifactKind::PreparseBlob,
-                        retries,
-                        retry_cost,
-                    ));
-                }
-                ArtifactVerdict::Rejected(ev) => {
-                    cfg.preparser = false;
-                    events.push(ev);
-                }
-            }
-        }
-    }
-    let outcome = run_with_fallback(scenario, &cfg, pre, faults, policy)?;
-    Ok((outcome, events))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::booster::tests::mini_tv;
     use crate::booster::CheckpointPhase;
+    use crate::fallback::{run_with_fallback_recovering, FallbackPolicy};
     use bb_init::encode_units;
+    use bb_sim::FaultPlan;
 
     fn blob(s: &Scenario) -> Vec<u8> {
         encode_units(&s.units)

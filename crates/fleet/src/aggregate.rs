@@ -9,6 +9,8 @@
 
 use std::collections::BTreeMap;
 
+use bb_sim::telemetry::percentile_of;
+
 use crate::json::{self, Json};
 use crate::pool::{JobFailure, JobOutput};
 use crate::spec::SweepSpec;
@@ -191,9 +193,9 @@ fn metrics_of(cell_slots: &[CellSlots]) -> Option<MetricsReport> {
                                 SpanStats {
                                     name: name.to_owned(),
                                     count: durs.len(),
-                                    p50_ns: percentile(&durs, 50),
-                                    p95_ns: percentile(&durs, 95),
-                                    p99_ns: percentile(&durs, 99),
+                                    p50_ns: percentile_of(&durs, 50).unwrap_or(0),
+                                    p95_ns: percentile_of(&durs, 95).unwrap_or(0),
+                                    p99_ns: percentile_of(&durs, 99).unwrap_or(0),
                                 }
                             })
                             .collect(),
@@ -266,20 +268,12 @@ fn config_stats(
         stddev_ns: var.sqrt(),
         min_ns: sorted[0],
         max_ns: sorted[count - 1],
-        p50_ns: percentile(&sorted, 50),
-        p95_ns: percentile(&sorted, 95),
-        p99_ns: percentile(&sorted, 99),
+        p50_ns: percentile_of(&sorted, 50).unwrap_or(0),
+        p95_ns: percentile_of(&sorted, 95).unwrap_or(0),
+        p99_ns: percentile_of(&sorted, 99).unwrap_or(0),
         saving_ms,
         saving_pct,
     }
-}
-
-/// Nearest-rank percentile on a sorted slice (integer nanoseconds, so
-/// no float ambiguity enters the deterministic output).
-fn percentile(sorted: &[u64], p: u32) -> u64 {
-    debug_assert!(!sorted.is_empty() && (1..=100).contains(&p));
-    let rank = (p as usize * sorted.len()).div_ceil(100);
-    sorted[rank - 1]
 }
 
 /// Aggregated statistics for one config within one cell.
@@ -914,14 +908,5 @@ mod tests {
         let mut plain = Aggregator::new(&spec);
         plain.accept(Ok(output(0, 0, 5, &[8e9 as u64, 3e9 as u64])));
         assert!(plain.finalize().metrics.is_none());
-    }
-
-    #[test]
-    fn percentiles_use_nearest_rank() {
-        let sorted: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile(&sorted, 50), 50);
-        assert_eq!(percentile(&sorted, 95), 95);
-        assert_eq!(percentile(&sorted, 99), 99);
-        assert_eq!(percentile(&[42], 99), 42);
     }
 }

@@ -39,6 +39,7 @@ use bb_core::{
     BootOutcome, FallbackPolicy, PreParser,
 };
 use bb_init::{encode_units, RestartPolicy};
+use bb_sim::telemetry::percentile_of;
 use bb_sim::{CorruptionPlan, FaultPlan, SimDuration};
 use bb_workloads::{tv_scenario_with, TizenParams};
 
@@ -756,9 +757,9 @@ fn finalize(
                         } else {
                             sorted.iter().map(|&n| n as f64).sum::<f64>() / count as f64
                         },
-                        p50_ns: pct(&sorted, 50),
-                        p95_ns: pct(&sorted, 95),
-                        p99_ns: pct(&sorted, 99),
+                        p50_ns: percentile_of(&sorted, 50).unwrap_or(0),
+                        p95_ns: percentile_of(&sorted, 95).unwrap_or(0),
+                        p99_ns: percentile_of(&sorted, 99).unwrap_or(0),
                         degraded: samples.iter().filter(|s| s.degraded).count(),
                         recovered: samples
                             .iter()
@@ -767,8 +768,8 @@ fn finalize(
                         restarts,
                         recoveries,
                         artifacts_rejected: rejected,
-                        recovery_cost_p50_ns: pct(&costs, 50),
-                        recovery_cost_p95_ns: pct(&costs, 95),
+                        recovery_cost_p50_ns: percentile_of(&costs, 50).unwrap_or(0),
+                        recovery_cost_p95_ns: percentile_of(&costs, 95).unwrap_or(0),
                     });
                 }
                 // Notable per-boot events, in (seed, config) slot order.
@@ -845,14 +846,6 @@ fn finalize(
         },
         totals,
     )
-}
-
-fn pct(sorted: &[u64], p: usize) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = (p * sorted.len()).div_ceil(100);
-    sorted[rank.max(1) - 1]
 }
 
 /// Transient read failures derived from a corruption seed (splitmix64

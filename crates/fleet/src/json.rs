@@ -154,11 +154,18 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// Parses one JSON document; trailing non-whitespace is an error.
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so without a cap a single hostile request line of
+/// `[`s would overflow the stack; the documents this crate reads nest a
+/// handful of levels.
+const MAX_DEPTH: usize = 128;
+
+/// Parses one JSON document; trailing non-whitespace is an error, and
+/// so is nesting deeper than 128 arrays/objects.
 pub fn parse(text: &str) -> Result<Json, JsonError> {
     let bytes = text.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(err(pos, "trailing characters"));
@@ -192,12 +199,17 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), JsonError> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+/// Parses the value at `pos`, which sits inside `depth` arrays/objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(err(*pos, "unexpected end of input")),
-        Some(b'{') => parse_obj(bytes, pos),
-        Some(b'[') => parse_arr(bytes, pos),
+        Some(b'{' | b'[') if depth >= MAX_DEPTH => Err(err(
+            *pos,
+            &format!("nesting deeper than {MAX_DEPTH} levels"),
+        )),
+        Some(b'{') => parse_obj(bytes, pos, depth + 1),
+        Some(b'[') => parse_arr(bytes, pos, depth + 1),
         Some(b'"') => parse_str(bytes, pos).map(Json::Str),
         Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
@@ -283,7 +295,7 @@ fn parse_str(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
     }
 }
 
-fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_arr(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -292,7 +304,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -305,7 +317,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     }
 }
 
-fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_obj(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     expect(bytes, pos, b'{')?;
     let mut fields = Vec::new();
     skip_ws(bytes, pos);
@@ -318,7 +330,7 @@ fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
         let key = parse_str(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         fields.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -396,5 +408,16 @@ mod tests {
         assert_eq!(v.as_str(), Some("A\u{e9}"));
         // Raw multi-byte characters pass through too.
         assert_eq!(parse("\"\u{e9}\"").unwrap().as_str(), Some("\u{e9}"));
+    }
+
+    #[test]
+    fn nesting_is_capped_instead_of_overflowing_the_stack() {
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&deep(MAX_DEPTH)).is_ok());
+        let e = parse(&deep(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(e.pos, MAX_DEPTH);
+        // One hostile request line: 200k unclosed brackets.
+        assert!(parse(&"[".repeat(200_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(200_000)).is_err());
     }
 }

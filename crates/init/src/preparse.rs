@@ -13,6 +13,8 @@
 //! exactly; the `preparser` Criterion bench measures real text-parse vs
 //! cache-load time on this code.
 
+use bb_sim::{fnv1a, ARTIFACT_FNV1A_PRIME, FNV1A_OFFSET};
+
 use crate::unit::{ExecConfig, IoSchedulingClass, RestartPolicy, ServiceType, Unit, UnitName};
 
 /// Magic + version header of a cache blob. Version 2 added the
@@ -125,7 +127,10 @@ pub fn encode_units(units: &[Unit]) -> Vec<u8> {
     let payload = encode_unit_payload(units);
     let mut out = Vec::with_capacity(MIN_BLOB_LEN + payload.len());
     out.extend_from_slice(MAGIC);
-    put_u64(&mut out, fnv1a64(&payload));
+    put_u64(
+        &mut out,
+        fnv1a(FNV1A_OFFSET, ARTIFACT_FNV1A_PRIME, &payload),
+    );
     put_u32(&mut out, units.len() as u32);
     out.extend_from_slice(&payload);
     let crc = fnv1a32(&out);
@@ -139,7 +144,11 @@ pub fn encode_units(units: &[Unit]) -> Vec<u8> {
 /// live unit set ([`blob_content_hash`] reads the stored stamp for the
 /// comparison).
 pub fn unit_set_hash(units: &[Unit]) -> u64 {
-    fnv1a64(&encode_unit_payload(units))
+    fnv1a(
+        FNV1A_OFFSET,
+        ARTIFACT_FNV1A_PRIME,
+        &encode_unit_payload(units),
+    )
 }
 
 /// The content hash stored in `blob`'s header, after validating the
@@ -181,15 +190,6 @@ fn verify_container(blob: &[u8]) -> Result<&[u8], CodecError> {
         return Err(CodecError::ChecksumMismatch { found, expected });
     }
     Ok(body)
-}
-
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x1000_0000_01b3);
-    }
-    hash
 }
 
 fn fnv1a32(bytes: &[u8]) -> u32 {

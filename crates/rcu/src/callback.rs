@@ -10,9 +10,10 @@
 //! waiter strategy the domain currently has) and then runs everything
 //! enqueued before the flush began.
 
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
 use crate::domain::RcuDomain;
+use crate::lock;
 
 /// Type-erased deferred work.
 type Callback = Box<dyn FnOnce() + Send>;
@@ -26,7 +27,7 @@ pub struct DeferQueue<'d> {
 impl std::fmt::Debug for DeferQueue<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DeferQueue")
-            .field("pending", &self.pending.lock().len())
+            .field("pending", &lock(&self.pending).len())
             .finish()
     }
 }
@@ -45,12 +46,12 @@ impl<'d> DeferQueue<'d> {
     /// Safe to call concurrently from any thread, including from inside
     /// read-side critical sections (it never waits).
     pub fn defer(&self, f: impl FnOnce() + Send + 'static) {
-        self.pending.lock().push(Box::new(f));
+        lock(&self.pending).push(Box::new(f));
     }
 
     /// Number of callbacks waiting for a flush.
     pub fn pending(&self) -> usize {
-        self.pending.lock().len()
+        lock(&self.pending).len()
     }
 
     /// Waits one grace period and runs every callback that was enqueued
@@ -59,7 +60,7 @@ impl<'d> DeferQueue<'d> {
     /// Callbacks enqueued concurrently with the flush land in the next
     /// batch (they may not be covered by this grace period).
     pub fn flush(&self) -> usize {
-        let batch: Vec<Callback> = std::mem::take(&mut *self.pending.lock());
+        let batch: Vec<Callback> = std::mem::take(&mut *lock(&self.pending));
         if batch.is_empty() {
             return 0;
         }
@@ -135,11 +136,11 @@ mod tests {
         let domain = RcuDomain::new(WaitStrategy::Boosted);
         let queue = DeferQueue::new(&domain);
         let counter = Arc::new(AtomicUsize::new(0));
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..8 {
                 let queue = &queue;
                 let counter = Arc::clone(&counter);
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for _ in 0..100 {
                         let c = Arc::clone(&counter);
                         queue.defer(move || {
@@ -148,8 +149,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .expect("threads join");
+        });
         assert_eq!(queue.pending(), 800);
         assert_eq!(queue.flush(), 800);
         assert_eq!(counter.load(Ordering::SeqCst), 800);

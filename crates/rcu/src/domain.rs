@@ -20,8 +20,9 @@
 
 use core::sync::atomic::{fence, AtomicU64, AtomicU8, Ordering};
 
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
+use crate::lock;
 use crate::ticket::TicketLock;
 
 /// Maximum number of concurrently registered reader threads per domain.
@@ -195,7 +196,7 @@ impl RcuDomain {
         fence(Ordering::SeqCst);
         // "While mutex lock not locked: try mutex lock" — a blocking
         // acquisition; contended waiters sleep instead of spinning.
-        let guard = self.writer_mutex.lock();
+        let guard = lock(&self.writer_mutex);
         let target = self.global_epoch.fetch_add(1, Ordering::SeqCst) + 1;
         // Force all RCU readers onto task lists; do synchronized
         // scheduling: yield the CPU while pre-existing readers drain.

@@ -36,3 +36,13 @@ pub use cell::RcuCell;
 pub use domain::{DomainStats, RcuDomain, ReadGuard, ReaderHandle, WaitStrategy, MAX_READERS};
 pub use list::RcuList;
 pub use ticket::{TicketGuard, TicketLock};
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Locks `m`, ignoring poisoning: every mutex in this crate guards
+/// either nothing (a writer-serialization token) or a `Vec` that is
+/// only ever pushed to or swapped out whole, so a panicking holder
+/// cannot leave it half-updated.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}

@@ -10,11 +10,10 @@
 //! writes.
 
 use std::sync::atomic::{AtomicPtr, Ordering};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::domain::{RcuDomain, ReadGuard};
+use crate::lock;
 
 struct Node<T> {
     value: T,
@@ -63,7 +62,7 @@ impl<T: Send + Sync> RcuList<T> {
 
     /// Inserts at the front (publish with a single pointer store).
     pub fn push_front(&self, value: T) {
-        let _w = self.writer.lock();
+        let _w = lock(&self.writer);
         let old_head = self.head.load(Ordering::SeqCst);
         let node = Box::into_raw(Box::new(Node {
             value,
@@ -75,7 +74,7 @@ impl<T: Send + Sync> RcuList<T> {
     /// Removes the first element matching `pred`, returning whether one
     /// was removed. Blocks for a grace period before freeing the node.
     pub fn remove_first(&self, mut pred: impl FnMut(&T) -> bool) -> bool {
-        let _w = self.writer.lock();
+        let _w = lock(&self.writer);
         // Unlink under the writer lock, searching via raw pointers.
         let mut link: &AtomicPtr<Node<T>> = &self.head;
         loop {

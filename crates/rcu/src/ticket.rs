@@ -130,7 +130,7 @@ mod tests {
         // must acquire before the second. We verify tickets are granted
         // in order by recording acquisition order.
         let lock = Arc::new(TicketLock::new());
-        let order = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let order = Arc::new(std::sync::Mutex::new(Vec::new()));
         let g = lock.lock();
         let mut handles = Vec::new();
         for i in 0..2 {
@@ -140,7 +140,7 @@ mod tests {
                 // Stagger ticket acquisition deterministically.
                 thread::sleep(std::time::Duration::from_millis(20 * (i as u64 + 1)));
                 let _g = lock.lock();
-                order.lock().push(i);
+                crate::lock(&order).push(i);
             }));
         }
         thread::sleep(std::time::Duration::from_millis(100));
@@ -148,6 +148,6 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(*order.lock(), vec![0, 1]);
+        assert_eq!(*crate::lock(&order), vec![0, 1]);
     }
 }

@@ -710,4 +710,16 @@ mod tests {
             Some("queue \"full\"")
         );
     }
+
+    #[test]
+    fn deeply_nested_request_lines_are_errors_not_aborts() {
+        let hostile = "[".repeat(200_000);
+        let e = parse_request(&hostile).unwrap_err();
+        assert!(e.starts_with("bad request JSON"), "{e}");
+        let nested_job = format!(
+            r#"{{"id": 1, "method": "submit", "job": {}}}"#,
+            "[".repeat(200_000)
+        );
+        assert!(parse_request(&nested_job).is_err());
+    }
 }

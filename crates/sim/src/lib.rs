@@ -35,6 +35,7 @@ pub mod chrome;
 pub mod corrupt;
 pub mod event;
 pub mod fault;
+mod hash;
 pub mod ids;
 pub mod io;
 pub mod machine;
@@ -49,6 +50,7 @@ pub use chrome::chrome_trace;
 pub use corrupt::{Corruption, CorruptionPlan};
 pub use event::{EventKind, EventQueue, EventQueueStats};
 pub use fault::{Fault, FaultPlan, FaultTargets};
+pub use hash::{fnv1a, ARTIFACT_FNV1A_PRIME, FNV1A_OFFSET, FNV1A_PRIME};
 pub use ids::{CoreId, DeviceId, FlagId, Pid};
 pub use io::{Device, DeviceProfile, IoPriority, MIB};
 pub use machine::{Machine, MachineBuilder, MachineConfig, RunOutcome, SchedStats};

@@ -57,6 +57,7 @@ use std::fmt;
 use smallvec::SmallVec;
 
 use crate::event::{EventKind, EventQueue, QueuedEvent};
+use crate::hash::{fnv1a, ARTIFACT_FNV1A_PRIME, FNV1A_OFFSET};
 use crate::ids::{CoreId, DeviceId, FlagId, Pid};
 use crate::io::{Device, DeviceProfile, IoPriority, IoRequest};
 use crate::machine::{
@@ -223,16 +224,7 @@ pub fn read_header(bytes: &[u8]) -> Result<SnapshotHeader, SnapshotError> {
 pub fn config_hash(cfg: &MachineConfig) -> u64 {
     let mut w = Writer::new();
     encode_config(&mut w, cfg);
-    fnv1a(&w.buf)
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x1000_0000_01b3);
-    }
-    hash
+    fnv1a(FNV1A_OFFSET, ARTIFACT_FNV1A_PRIME, &w.buf)
 }
 
 /// Serializes the machine to the versioned snapshot format.
@@ -249,7 +241,7 @@ pub fn save(machine: &Machine) -> Result<Vec<u8>, SnapshotError> {
 
     let mut cfg = Writer::new();
     encode_config(&mut cfg, &machine.cfg);
-    let hash = fnv1a(&cfg.buf);
+    let hash = fnv1a(FNV1A_OFFSET, ARTIFACT_FNV1A_PRIME, &cfg.buf);
     payload.section(SEC_CONFIG, cfg);
 
     let mut w = Writer::new();
@@ -323,7 +315,7 @@ pub fn save(machine: &Machine) -> Result<Vec<u8>, SnapshotError> {
     out.extend_from_slice(&CALIBRATION_PIN_BB_US.to_le_bytes());
     out.extend_from_slice(&(payload.buf.len() as u64).to_le_bytes());
     out.extend_from_slice(&payload.buf);
-    out.extend_from_slice(&fnv1a(&payload.buf).to_le_bytes());
+    out.extend_from_slice(&fnv1a(FNV1A_OFFSET, ARTIFACT_FNV1A_PRIME, &payload.buf).to_le_bytes());
     Ok(out)
 }
 
@@ -364,7 +356,7 @@ pub fn restore(bytes: &[u8]) -> Result<Machine, SnapshotError> {
                 .try_into()
                 .expect("8 bytes"),
         );
-        let expected = fnv1a(payload);
+        let expected = fnv1a(FNV1A_OFFSET, ARTIFACT_FNV1A_PRIME, payload);
         if found != expected {
             return Err(SnapshotError::ChecksumMismatch { found, expected });
         }
@@ -375,7 +367,7 @@ pub fn restore(bytes: &[u8]) -> Result<Machine, SnapshotError> {
     };
 
     let mut sec = r.section(SEC_CONFIG)?;
-    let actual_hash = fnv1a(sec.buf);
+    let actual_hash = fnv1a(FNV1A_OFFSET, ARTIFACT_FNV1A_PRIME, sec.buf);
     if actual_hash != header.config_hash {
         return Err(SnapshotError::ConfigHashMismatch {
             found: header.config_hash,

@@ -11,19 +11,14 @@
 use bb_core::{ParseCostParams, Scenario};
 use bb_init::{ManagerCosts, ServiceBody, Unit, UnitKind, UnitName, WorkloadMap};
 use bb_kernel::{synthetic_catalog, ModuleCatalog};
-use bb_sim::{DeviceId, OpsBuilder, SimDuration};
+use bb_sim::{fnv1a, DeviceId, OpsBuilder, SimDuration, FNV1A_OFFSET, FNV1A_PRIME};
 
 use crate::profiles::MachineProfile;
 use crate::scenario::tv_kernel_plan;
 
 /// Deterministic small hash of a name (FNV-1a), for body-size jitter.
 fn name_hash(name: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
+    fnv1a(FNV1A_OFFSET, FNV1A_PRIME, name.as_bytes())
 }
 
 /// Synthesizes a plausible body for a unit: mounts do metadata I/O,

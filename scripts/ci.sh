@@ -18,6 +18,12 @@ echo "==> RUSTDOCFLAGS=-Dwarnings cargo doc --no-deps --workspace"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 run ./scripts/api_surface.sh
 
+# Benchmark harness: perfbench/ is its own cargo workspace that builds
+# the repo crates through path dependencies, so nothing above compiles
+# it. Building and testing it here catches a public-API change that
+# would break the benchmark.
+run cargo test --offline --manifest-path perfbench/Cargo.toml
+
 # Deterministic chaos smoke: the fault-injection sweep must emit
 # byte-identical JSON regardless of worker count.
 chaos_tmp="$(mktemp -d)"

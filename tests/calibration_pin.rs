@@ -5,7 +5,8 @@
 //! calibration drift — if you change a cost model on purpose, update
 //! the pins and the tables in EXPERIMENTS.md together.
 use booting_booster::bb::{
-    run_with_fallback, BbConfig, BootOutcome, BootRequest, FallbackPolicy, FullBootReport, Scenario,
+    run_with_fallback_recovering, BbConfig, BootOutcome, BootRequest, FallbackPolicy,
+    FullBootReport, Scenario,
 };
 use booting_booster::sim::FaultPlan;
 use booting_booster::workloads::tv_scenario;
@@ -45,14 +46,16 @@ fn fault_free_supervised_boot_matches_plain_boost_exactly() {
     let scenario = tv_scenario();
     for cfg in [BbConfig::conventional(), BbConfig::full()] {
         let plain = boost(&scenario, &cfg).expect("valid");
-        let supervised = run_with_fallback(
+        let (supervised, recoveries) = run_with_fallback_recovering(
             &scenario,
             &cfg,
+            None,
             None,
             &FaultPlan::none(),
             &FallbackPolicy::default(),
         )
         .expect("valid");
+        assert!(recoveries.is_empty());
         let BootOutcome::Completed(report) = supervised else {
             panic!("fault-free boot must not degrade");
         };

@@ -5,7 +5,8 @@
 use proptest::prelude::*;
 
 use booting_booster::bb::{
-    fault_targets, run_with_fallback, with_supervision, BbConfig, BootOutcome, FallbackPolicy,
+    fault_targets, run_with_fallback_recovering, with_supervision, BbConfig, BootOutcome,
+    FallbackPolicy,
 };
 use booting_booster::init::{
     run_boot, BootPlan, EngineConfig, EngineMode, LoadModel, ManagerCosts, PlanOverrides,
@@ -43,8 +44,9 @@ fn supervised_outcome(
     let scenario = with_supervision(&base, restart, restart_sec_ms, burst);
     let plan = FaultPlan::seeded(plan_seed, &fault_targets(&scenario));
     let policy = FallbackPolicy::default();
-    let out = run_with_fallback(&scenario, &BbConfig::full(), None, &plan, &policy)
-        .expect("supervised boot returns");
+    let (out, _) =
+        run_with_fallback_recovering(&scenario, &BbConfig::full(), None, None, &plan, &policy)
+            .expect("supervised boot returns");
     (out, policy)
 }
 
