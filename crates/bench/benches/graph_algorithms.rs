@@ -1,6 +1,7 @@
 //! Graph-machinery benchmarks: the Service Engine's algorithms at the
-//! paper's scales (136 → 250 services) and beyond (1000, the "will
-//! surely grow" case of §5).
+//! paper's scale (136 services) and beyond (1000 to 16000, the "will
+//! surely grow" case of §5). Plan compile is O(V + E), so every
+//! function here should scale near-linearly across the sizes.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -20,7 +21,7 @@ fn graph_for(services: usize) -> UnitGraph {
 }
 
 fn bench_graph(c: &mut Criterion) {
-    for services in [136usize, 250, 1000] {
+    for services in [136usize, 1000, 4000, 16000] {
         let graph = graph_for(services);
         let units = graph.units().to_vec();
         let completion = [UnitName::new("fasttv.service")];
@@ -38,6 +39,10 @@ fn bench_graph(c: &mut Criterion) {
         });
         group.bench_function("transaction", |b| {
             b.iter(|| black_box(Transaction::build(&graph, "tv-boot.target").expect("ok")))
+        });
+        let transaction = Transaction::build(&graph, "tv-boot.target").expect("ok");
+        group.bench_function("execution-order", |b| {
+            b.iter(|| black_box(transaction.execution_order(&graph)))
         });
         group.bench_function("service-analyzer", |b| {
             b.iter(|| black_box(analyze(&graph)))

@@ -556,13 +556,19 @@ impl PlanPass for BbManagerPriority {
     fn apply(&self, ir: &mut BootPlanIr<'_>) -> PassDelta {
         let group = service_engine::identify_bb_group(&ir.graph, &ir.completion);
         // Passes never reshape the transaction, so the order cached at
-        // IR construction is current.
-        let order = ir.execution_order.clone();
-        ir.overrides.dispatch_first = order
-            .iter()
-            .copied()
-            .filter(|j| group.contains(j))
-            .collect();
+        // IR construction is current. Dispatch-queue relief: group
+        // members no longer sit behind the manager's per-job dispatch
+        // work for every earlier job, so each skips the gap between its
+        // old and new queue positions.
+        let mut dispatch_first = Vec::with_capacity(group.len());
+        let mut skipped: u64 = 0;
+        for (old_pos, &j) in ir.execution_order.iter().enumerate() {
+            if group.contains(&j) {
+                skipped += (old_pos - dispatch_first.len()) as u64;
+                dispatch_first.push(j);
+            }
+        }
+        ir.overrides.dispatch_first = dispatch_first;
         for &j in &group {
             ir.overrides.nice.insert(j, service_engine::BB_GROUP_NICE);
             ir.overrides
@@ -571,14 +577,6 @@ impl PlanPass for BbManagerPriority {
         }
         let mut d = PassDelta::new(self.name());
         d.units_touched = group.len();
-        // Dispatch-queue relief: group members no longer sit behind the
-        // manager's per-job dispatch work for every earlier job.
-        let mut skipped: u64 = 0;
-        for (new_pos, &j) in ir.overrides.dispatch_first.iter().enumerate() {
-            if let Some(old_pos) = order.iter().position(|&o| o == j) {
-                skipped += old_pos.saturating_sub(new_pos) as u64;
-            }
-        }
         // Priority shielding, the dominant term: at BB_GROUP_NICE with
         // realtime I/O, the group chain preempts the rest of the
         // transaction instead of time-sharing with it, so the foreign

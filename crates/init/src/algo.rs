@@ -2,18 +2,32 @@
 //! builder: an iterative Tarjan SCC over an abstract adjacency function.
 
 /// Strongly connected components of the directed graph with `n` nodes
-/// and successor function `succ`. Iterative (no recursion), so deep
-/// service chains cannot overflow the stack. Components are returned in
-/// reverse topological order, members sorted ascending.
-pub fn tarjan_scc(n: usize, succ: impl Fn(usize) -> Vec<usize>) -> Vec<Vec<usize>> {
+/// and successor function `succ`. Components are returned in reverse
+/// topological order, members sorted ascending.
+///
+/// `succ` is called exactly once per node, when the search first enters
+/// it; the successors are appended to one flat buffer and the node's
+/// frames resume from an offset into it. A hub ordered before thousands
+/// of units is therefore listed once, not once per descent, and the
+/// whole search is O(V + E). Iterative (no recursion), so deep service
+/// chains cannot overflow the stack.
+pub fn tarjan_scc<I>(n: usize, mut succ: impl FnMut(usize) -> I) -> Vec<Vec<usize>>
+where
+    I: IntoIterator<Item = usize>,
+{
     #[derive(Clone, Copy)]
     enum Frame {
         Enter(usize),
+        /// Node and the next offset into `targets` to scan.
         Resume(usize, usize),
     }
     let mut index: Vec<Option<u32>> = vec![None; n];
     let mut low = vec![0u32; n];
     let mut on_stack = vec![false; n];
+    // Successors of every entered node, concatenated; node `v`'s list
+    // ends at `end[v]` and its frames carry the offset to resume from.
+    let mut targets: Vec<usize> = Vec::new();
+    let mut end = vec![0usize; n];
     let mut stack: Vec<usize> = Vec::new();
     let mut next = 0u32;
     let mut out: Vec<Vec<usize>> = Vec::new();
@@ -31,14 +45,16 @@ pub fn tarjan_scc(n: usize, succ: impl Fn(usize) -> Vec<usize>) -> Vec<Vec<usize
                     next += 1;
                     stack.push(v);
                     on_stack[v] = true;
-                    frames.push(Frame::Resume(v, 0));
+                    let first = targets.len();
+                    targets.extend(succ(v));
+                    end[v] = targets.len();
+                    frames.push(Frame::Resume(v, first));
                 }
                 Frame::Resume(v, start) => {
-                    let succs = succ(v);
                     let mut descended = false;
                     let mut ei = start;
-                    while ei < succs.len() {
-                        let w = succs[ei];
+                    while ei < end[v] {
+                        let w = targets[ei];
                         ei += 1;
                         match index[w] {
                             None => {
@@ -124,6 +140,25 @@ mod tests {
         let succ = |v: usize| if v + 1 < n { vec![v + 1] } else { vec![] };
         let sccs = tarjan_scc(n, succ);
         assert_eq!(sccs.len(), n);
+    }
+
+    #[test]
+    fn successors_are_listed_once_per_node() {
+        // A hub before every other node: the hub is resumed after each
+        // of its n - 1 descents, and each resume must reuse the list
+        // rather than ask for it again.
+        let n = 2_000;
+        let mut lookups = vec![0u32; n];
+        let sccs = tarjan_scc(n, |v| {
+            lookups[v] += 1;
+            if v == 0 {
+                (1..n).collect()
+            } else {
+                vec![]
+            }
+        });
+        assert_eq!(sccs.len(), n);
+        assert!(lookups.iter().all(|&c| c == 1), "{lookups:?}");
     }
 
     #[test]

@@ -128,8 +128,10 @@ impl UnitGraph {
             req_of: vec![Vec::new(); n],
             missing: BTreeSet::new(),
         };
-        for i in 0..n {
-            let u = g.units[i].clone();
+        // Edges only read the units; take them out so `add_edge` can
+        // borrow the graph mutably without cloning each unit.
+        let units = std::mem::take(&mut g.units);
+        for (i, u) in units.iter().enumerate() {
             for dep in &u.after {
                 g.add_edge(dep, i, |src| Edge {
                     src,
@@ -188,6 +190,7 @@ impl UnitGraph {
                 });
             }
         }
+        g.units = units;
         Ok(g)
     }
 
@@ -276,6 +279,12 @@ impl UnitGraph {
         self.order_in[idx].iter().map(|&e| &self.edges[e])
     }
 
+    /// Outgoing ordering edges of `idx` (with provenance), in global
+    /// edge order.
+    pub fn ordering_out_edges(&self, idx: usize) -> impl Iterator<Item = &Edge> {
+        self.order_out[idx].iter().map(|&e| &self.edges[e])
+    }
+
     /// Requirement edges pulled in by `idx`.
     pub fn requirement_edges(&self, idx: usize) -> impl Iterator<Item = &Edge> {
         self.req_of[idx].iter().map(|&e| &self.edges[e])
@@ -346,10 +355,7 @@ impl UnitGraph {
     /// self-loop) are dependency cycles.
     pub fn sccs(&self) -> Vec<Vec<usize>> {
         crate::algo::tarjan_scc(self.units.len(), |v| {
-            self.order_out[v]
-                .iter()
-                .map(|&e| self.edges[e].dst)
-                .collect()
+            self.ordering_out_edges(v).map(|e| e.dst)
         })
     }
 

@@ -22,6 +22,8 @@ pub mod algo;
 pub mod chart;
 pub mod engine;
 pub mod graph;
+#[cfg(test)]
+mod oracle;
 pub mod parser;
 pub mod preparse;
 pub mod transaction;

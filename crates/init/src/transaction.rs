@@ -7,7 +7,7 @@
 //! dropping weakly-pulled jobs (systemd deletes non-indispensable jobs
 //! from cycles), and remain fatal when every cycle member is required.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::algo::tarjan_scc;
 use crate::graph::{EdgeKind, UnitGraph};
@@ -129,75 +129,75 @@ impl Transaction {
     }
 
     /// The jobs in a deterministic dependency-respecting order (Kahn over
-    /// ordering edges restricted to the job set, name-tie-broken). The
-    /// transaction is cycle-free by construction.
+    /// ordering edges restricted to the job set). Ties are broken by unit
+    /// name through the name-ordered frontier, so the order does not
+    /// depend on unit indices. The transaction is cycle-free by
+    /// construction. O((V + E) log V): every ordering edge out of a job
+    /// is visited once when counting in-degrees and once when its source
+    /// is dequeued.
     pub fn execution_order(&self, graph: &UnitGraph) -> Vec<usize> {
-        let jobs = &self.jobs;
-        let mut indeg: std::collections::HashMap<usize, usize> =
-            jobs.iter().map(|&j| (j, 0)).collect();
-        for e in graph.edges() {
-            if e.kind == EdgeKind::Ordering && jobs.contains(&e.src) && jobs.contains(&e.dst) {
-                *indeg.get_mut(&e.dst).expect("dst in jobs") += 1;
+        let mut in_jobs = vec![false; graph.len()];
+        for &j in &self.jobs {
+            in_jobs[j] = true;
+        }
+        let job_succs = |j: usize| {
+            graph
+                .ordering_out_edges(j)
+                .map(|e| e.dst)
+                .filter(|&d| in_jobs[d])
+        };
+        let mut indeg = vec![0usize; graph.len()];
+        for &j in &self.jobs {
+            for d in job_succs(j) {
+                indeg[d] += 1;
             }
         }
-        let mut frontier: std::collections::BTreeMap<&UnitName, usize> = indeg
+        let mut frontier: BTreeMap<&UnitName, usize> = self
+            .jobs
             .iter()
-            .filter(|&(_, &d)| d == 0)
-            .map(|(&j, _)| (&graph.unit(j).name, j))
+            .filter(|&&j| indeg[j] == 0)
+            .map(|&j| (&graph.unit(j).name, j))
             .collect();
-        let mut out = Vec::with_capacity(jobs.len());
+        let mut out = Vec::with_capacity(self.jobs.len());
         while let Some((_, j)) = frontier.pop_first() {
             out.push(j);
-            for e in graph.edges() {
-                if e.kind == EdgeKind::Ordering && e.src == j && jobs.contains(&e.dst) {
-                    let d = indeg.get_mut(&e.dst).expect("dst in jobs");
-                    *d -= 1;
-                    if *d == 0 {
-                        frontier.insert(&graph.unit(e.dst).name, e.dst);
-                    }
+            for d in job_succs(j) {
+                indeg[d] -= 1;
+                if indeg[d] == 0 {
+                    frontier.insert(&graph.unit(d).name, d);
                 }
             }
         }
-        debug_assert_eq!(out.len(), jobs.len(), "transaction was not acyclic");
+        debug_assert_eq!(out.len(), self.jobs.len(), "transaction was not acyclic");
         out
-    }
-
-    /// Ordering predecessors of `job` that are themselves in the job set.
-    pub fn active_preds(&self, graph: &UnitGraph, job: usize) -> Vec<usize> {
-        graph
-            .ordering_preds(job)
-            .into_iter()
-            .filter(|p| self.jobs.contains(p))
-            .collect()
     }
 }
 
 /// Cycles (SCCs of size > 1 or self-loops) of the ordering graph induced
-/// on `jobs`.
+/// on `jobs`, in Tarjan's order. Jobs are compacted in ascending unit
+/// index through a dense position table, and each job's successors come
+/// from [`UnitGraph::ordering_out_edges`] (global edge order), so one
+/// call is O(V + E) and the search visits nodes and edges in the same
+/// order as a scan of the whole edge list would.
 fn job_cycles(graph: &UnitGraph, jobs: &BTreeSet<usize>) -> Vec<Vec<usize>> {
-    // Compact the job set for the SCC run.
+    const NOT_A_JOB: usize = usize::MAX;
     let idx_list: Vec<usize> = jobs.iter().copied().collect();
-    let pos: std::collections::HashMap<usize, usize> =
-        idx_list.iter().enumerate().map(|(p, &j)| (j, p)).collect();
-    let succ = |p: usize| -> Vec<usize> {
-        let j = idx_list[p];
+    let mut pos = vec![NOT_A_JOB; graph.len()];
+    for (p, &j) in idx_list.iter().enumerate() {
+        pos[j] = p;
+    }
+    let (idx_list, pos) = (&idx_list, &pos);
+    let succ = move |p: usize| {
         graph
-            .edges()
-            .iter()
-            .filter(|e| e.kind == EdgeKind::Ordering && e.src == j)
-            .filter_map(|e| pos.get(&e.dst).copied())
-            .collect()
+            .ordering_out_edges(idx_list[p])
+            .map(move |e| pos[e.dst])
+            .filter(|&q| q != NOT_A_JOB)
     };
-    let self_loops: BTreeSet<usize> = graph
-        .edges()
-        .iter()
-        .filter(|e| e.kind == EdgeKind::Ordering && e.src == e.dst && jobs.contains(&e.src))
-        .map(|e| e.src)
-        .collect();
+    let self_loop = |j: usize| graph.ordering_out_edges(j).any(|e| e.dst == j);
     tarjan_scc(idx_list.len(), succ)
         .into_iter()
-        .map(|comp| comp.into_iter().map(|p| idx_list[p]).collect::<Vec<_>>())
-        .filter(|comp: &Vec<usize>| comp.len() > 1 || comp.iter().any(|v| self_loops.contains(v)))
+        .filter(|comp| comp.len() > 1 || self_loop(idx_list[comp[0]]))
+        .map(|comp| comp.into_iter().map(|p| idx_list[p]).collect())
         .collect()
 }
 
@@ -322,7 +322,7 @@ mod tests {
     }
 
     #[test]
-    fn active_preds_ignores_outside_jobs() {
+    fn execution_order_ignores_outside_jobs() {
         let g = graph(vec![
             boot_target(),
             svc("a.service").wanted_by("multi-user.target"),
@@ -330,7 +330,39 @@ mod tests {
             svc("outside.service").before("a.service"),
         ]);
         let t = Transaction::build(&g, "multi-user.target").unwrap();
-        let preds = t.active_preds(&g, g.idx_of("a.service"));
-        assert!(preds.is_empty());
+        let names: Vec<&str> = t
+            .execution_order(&g)
+            .into_iter()
+            .map(|i| g.unit(i).name.as_str())
+            .collect();
+        assert_eq!(names, vec!["a.service", "multi-user.target"]);
+    }
+
+    #[test]
+    fn star_graph_plans_in_linear_time() {
+        // One hub ordered before 20,000 units: a quadratic walk over the
+        // hub's out-edges takes minutes in a debug build.
+        const LEAVES: usize = 20_000;
+        let mut hub = svc("hub.service").wanted_by("multi-user.target");
+        let mut units = vec![boot_target()];
+        for i in 0..LEAVES {
+            let name = format!("leaf{i:05}.service");
+            hub = hub.before(&name);
+            units.push(svc(&name).wanted_by("multi-user.target"));
+        }
+        units.push(hub);
+        let g = graph(units);
+        let t = Transaction::build(&g, "multi-user.target").unwrap();
+        assert_eq!(t.jobs.len(), LEAVES + 2);
+        assert!(t.dropped_jobs.is_empty());
+        let order = t.execution_order(&g);
+        assert_eq!(order.len(), LEAVES + 2);
+        // Name tie-break: the hub, then the leaves it releases, then the
+        // target ("l" < "m").
+        let names: Vec<&str> = order.iter().map(|&i| g.unit(i).name.as_str()).collect();
+        assert_eq!(names[0], "hub.service");
+        assert_eq!(names[1], "leaf00000.service");
+        assert_eq!(names[LEAVES], "leaf19999.service");
+        assert_eq!(names[LEAVES + 1], "multi-user.target");
     }
 }

@@ -24,6 +24,12 @@ run ./scripts/api_surface.sh
 # would break the benchmark.
 run cargo test --offline --manifest-path perfbench/Cargo.toml
 
+# Large-graph smoke: plan compile is linear in units plus edges, so a
+# 16000-service boot takes about 0.55 s in release on a 2-vCPU x86-64
+# container. The quadratic planner it replaced took 11 s on the same
+# container, so a return to quadratic planning trips the timeout.
+run timeout 5 ./target/release/bbsim --services 16000 >/dev/null
+
 # Deterministic chaos smoke: the fault-injection sweep must emit
 # byte-identical JSON regardless of worker count.
 chaos_tmp="$(mktemp -d)"
