@@ -1,219 +1,183 @@
-//! Streaming aggregation of sweep results.
+//! The slot store every ticket aggregates into, and the sweep report.
 //!
-//! The [`Aggregator`] consumes job results from the pool's channel as
-//! they arrive (any order) and stores them into slots addressed by
-//! `(cell, seed_idx)`. [`Aggregator::finalize`] then computes all
-//! statistics by walking the slots in deterministic order — so the
-//! resulting [`SweepReport`] (and its JSON form) is byte-identical for
-//! any worker count.
+//! The slot store (`Aggregator`) accepts job results as they arrive
+//! (any order) and stores each into the slot its flat job index
+//! addresses. Its `sweep_report` (and, for chaos tickets, its
+//! `chaos_report` in [`crate::chaos`]) then computes every
+//! statistic by walking the slots in job order — so the resulting
+//! report (and its JSON form) is byte-identical for any worker count.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 use bb_sim::telemetry::percentile_of;
 
 use crate::json::{self, Json};
-use crate::pool::{JobFailure, JobOutput};
-use crate::spec::SweepSpec;
+use crate::pool::{BootSample, FailureKind, JobOutput};
+use crate::spec::{CellSpec, SweepSpec};
 
-/// Accumulates job results into seed-addressed slots.
-#[derive(Debug)]
-pub struct Aggregator {
-    cells: Vec<CellSlots>,
-    failures: Vec<(usize, usize, u64, String)>, // (cell, seed_idx, seed, reason)
-}
+/// One job's result slot: its samples (one per config), or the stable
+/// reason it failed. `None` until the job lands.
+pub(crate) type Slot = Option<Result<Vec<BootSample>, String>>;
 
-/// One boot's `(span name, duration ns)` lists, one list per config.
-type ConfigSpans = Vec<Vec<(String, u64)>>;
-
-#[derive(Debug)]
-struct CellSlots {
-    label: String,
-    config_labels: Vec<String>,
-    seeds: Vec<u64>,
-    /// Per seed slot: boot nanoseconds per config, once the job lands.
-    boots: Vec<Option<Vec<u64>>>,
-    /// Per seed slot: `(span name, duration ns)` per config. Stays
-    /// `None` unless the sweep collects metrics.
-    spans: Vec<Option<ConfigSpans>>,
+/// Accumulates one ticket's job results into slots addressed by flat
+/// job index (see [`SweepSpec::jobs`]), plus the deterministic work
+/// counters of its completed jobs.
+#[derive(Debug, Default)]
+pub(crate) struct Aggregator {
+    pub(crate) slots: Vec<Slot>,
+    pub(crate) kernel_sims: usize,
+    pub(crate) peak_events: usize,
+    pub(crate) deduped: usize,
+    pub(crate) restarts: usize,
+    pub(crate) recoveries: usize,
+    pub(crate) artifacts_rejected: usize,
 }
 
 impl Aggregator {
-    /// Allocates slots for every `(cell, seed)` of `spec`.
-    pub fn new(spec: &SweepSpec) -> Self {
+    /// Allocates one empty slot per job.
+    pub(crate) fn new(jobs: usize) -> Self {
         Aggregator {
-            cells: spec
-                .cells
-                .iter()
-                .map(|c| CellSlots {
-                    label: c.label.clone(),
-                    config_labels: c.configs.iter().map(|(l, _)| l.clone()).collect(),
-                    seeds: c.seeds.clone(),
-                    boots: vec![None; c.seeds.len()],
-                    spans: vec![None; c.seeds.len()],
-                })
-                .collect(),
-            failures: Vec::new(),
+            slots: vec![None; jobs],
+            ..Aggregator::default()
         }
     }
 
-    /// Accepts one pool message, in arrival (nondeterministic) order.
-    pub fn accept(&mut self, msg: Result<JobOutput, JobFailure>) {
-        match msg {
+    /// Accepts job `index`'s result, in arrival (nondeterministic)
+    /// order.
+    pub(crate) fn accept(&mut self, index: usize, result: Result<JobOutput, FailureKind>) {
+        debug_assert!(self.slots[index].is_none(), "slot filled twice");
+        self.slots[index] = Some(match result {
             Ok(out) => {
-                let cell = &mut self.cells[out.job.cell];
-                debug_assert!(cell.boots[out.job.seed_idx].is_none(), "slot filled twice");
-                let mut by_config = vec![0u64; cell.config_labels.len()];
+                self.kernel_sims += out.kernel_sims;
+                self.peak_events = self.peak_events.max(out.peak_events);
+                self.deduped += out.deduped;
                 for s in &out.samples {
-                    by_config[s.config] = s.boot_ns;
+                    self.restarts += s.restarts as usize;
+                    self.recoveries += s.recoveries as usize;
+                    self.artifacts_rejected += s.artifacts_rejected as usize;
                 }
-                cell.boots[out.job.seed_idx] = Some(by_config);
-                if !out.spans.is_empty() {
-                    cell.spans[out.job.seed_idx] = Some(out.spans);
-                }
+                Ok(out.samples)
             }
-            Err(fail) => {
-                self.failures.push((
-                    fail.job.cell,
-                    fail.job.seed_idx,
-                    fail.seed,
-                    fail.kind.reason(),
-                ));
-            }
-        }
+            Err(kind) => Err(kind.reason()),
+        });
     }
 
-    /// Results accepted so far (filled slots plus failures) — the
-    /// service's progress signal for [`crate::FleetService::poll`].
-    pub fn accepted(&self) -> usize {
-        let filled: usize = self
-            .cells
-            .iter()
-            .map(|c| c.boots.iter().filter(|b| b.is_some()).count())
-            .sum();
-        filled + self.failures.len()
+    /// Splits the slots into each cell's run of jobs, in spec order.
+    pub(crate) fn by_cell<'a>(
+        &'a self,
+        spec: &'a SweepSpec,
+    ) -> impl Iterator<Item = (&'a CellSpec, &'a [Slot])> + 'a {
+        let mut rest = self.slots.as_slice();
+        spec.cells.iter().map(move |cell| {
+            let (mine, tail) = rest.split_at(cell.jobs());
+            rest = tail;
+            (cell, mine)
+        })
     }
 
-    /// Computes the final report, walking slots in deterministic order.
-    pub fn finalize(self) -> SweepReport {
-        let Aggregator {
-            cells: cell_slots,
-            mut failures,
-        } = self;
-        // Failure order must not depend on scheduling.
-        failures.sort();
-        let failures = failures
-            .into_iter()
-            .map(|(cell, _, seed, reason)| FailureReport {
-                cell: cell_slots[cell].label.clone(),
-                seed,
-                reason,
-            })
-            .collect();
-
+    /// Computes the sweep report, walking slots in job order.
+    pub(crate) fn sweep_report(&self, spec: &SweepSpec) -> SweepReport {
+        let mut failures = Vec::new();
         let mut total_boots = 0;
-        let cells = cell_slots
-            .iter()
-            .map(|cell| {
-                let completed = cell.boots.iter().flatten().count();
-                let baseline = cell
-                    .config_labels
-                    .iter()
-                    .position(|l| l == "conventional")
-                    .and_then(|ci| mean_of(cell, ci));
-                let configs = cell
-                    .config_labels
-                    .iter()
-                    .enumerate()
-                    .map(|(ci, label)| {
-                        // Samples in seed order (slot order), skipping
-                        // failed slots.
-                        let samples: Vec<u64> = cell
-                            .boots
-                            .iter()
-                            .flatten()
-                            .map(|by_config| by_config[ci])
-                            .collect();
-                        total_boots += samples.len();
-                        config_stats(label, &samples, label != "conventional", baseline)
-                    })
-                    .collect();
-                CellReport {
-                    label: cell.label.clone(),
-                    seeds: cell.seeds.len(),
-                    completed,
-                    configs,
+        let mut cells = Vec::new();
+        let mut per_cell = Vec::new();
+        for (cell, slots) in self.by_cell(spec) {
+            let mut done: Vec<&[BootSample]> = Vec::new();
+            for (i, slot) in slots.iter().enumerate() {
+                match slot {
+                    Some(Ok(samples)) => done.push(samples),
+                    Some(Err(reason)) => failures.push(FailureReport {
+                        cell: cell.label.clone(),
+                        seed: cell.seeds[i % cell.seeds.len()],
+                        reason: reason.clone(),
+                    }),
+                    None => {}
                 }
-            })
-            .collect();
-
-        let metrics = metrics_of(&cell_slots);
-
+            }
+            // Samples in seed (slot) order, skipping failed slots.
+            let column = |k: usize| -> Vec<u64> { done.iter().map(|s| s[k].boot_ns).collect() };
+            let baseline = cell
+                .configs
+                .iter()
+                .position(|(l, _)| l == "conventional")
+                .and_then(|k| mean(&column(k)));
+            let configs = cell
+                .configs
+                .iter()
+                .enumerate()
+                .map(|(k, (label, _))| {
+                    let samples = column(k);
+                    total_boots += samples.len();
+                    config_stats(label, samples, baseline)
+                })
+                .collect();
+            cells.push(CellReport {
+                label: cell.label.clone(),
+                seeds: cell.seeds.len(),
+                completed: done.len(),
+                configs,
+            });
+            per_cell.push((cell, done));
+        }
+        let spans_present = per_cell
+            .iter()
+            .flat_map(|(_, done)| done.iter().copied().flatten())
+            .any(|s| s.spans.is_some());
         SweepReport {
             cells,
             failures,
             total_boots,
-            metrics,
+            metrics: spans_present.then(|| MetricsReport {
+                cells: per_cell
+                    .iter()
+                    .map(|(cell, done)| cell_metrics(cell, done))
+                    .collect(),
+            }),
         }
     }
 }
 
-/// Aggregates span durations across all filled slots, walking cells,
-/// configs, and seed slots in deterministic order. `None` when no slot
-/// carries span data (metrics collection off).
-fn metrics_of(cell_slots: &[CellSlots]) -> Option<MetricsReport> {
-    if cell_slots
-        .iter()
-        .all(|c| c.spans.iter().all(Option::is_none))
-    {
-        return None;
+/// Aggregates one cell's span durations per config, walking the
+/// completed slots in job order.
+fn cell_metrics(cell: &CellSpec, done: &[&[BootSample]]) -> CellMetrics {
+    CellMetrics {
+        label: cell.label.clone(),
+        configs: cell
+            .configs
+            .iter()
+            .enumerate()
+            .map(|(k, (label, _))| {
+                // Span durations keyed by name, accumulated in slot
+                // order so arrival order cannot leak in.
+                let mut by_span: BTreeMap<&str, Vec<u64>> = BTreeMap::new();
+                for samples in done {
+                    for (name, dur) in samples[k].spans.iter().flatten() {
+                        by_span.entry(name).or_default().push(*dur);
+                    }
+                }
+                ConfigMetrics {
+                    label: label.clone(),
+                    spans: by_span
+                        .into_iter()
+                        .map(|(name, mut durs)| {
+                            durs.sort_unstable();
+                            SpanStats {
+                                name: name.to_owned(),
+                                count: durs.len(),
+                                p50_ns: percentile_of(&durs, 50).unwrap_or(0),
+                                p95_ns: percentile_of(&durs, 95).unwrap_or(0),
+                                p99_ns: percentile_of(&durs, 99).unwrap_or(0),
+                            }
+                        })
+                        .collect(),
+                }
+            })
+            .collect(),
     }
-    let cells = cell_slots
-        .iter()
-        .map(|cell| CellMetrics {
-            label: cell.label.clone(),
-            configs: cell
-                .config_labels
-                .iter()
-                .enumerate()
-                .map(|(ci, label)| {
-                    // Span durations keyed by name, accumulated in seed
-                    // (slot) order so arrival order cannot leak in.
-                    let mut by_span: BTreeMap<&str, Vec<u64>> = BTreeMap::new();
-                    for per_config in cell.spans.iter().flatten() {
-                        for (name, dur) in &per_config[ci] {
-                            by_span.entry(name).or_default().push(*dur);
-                        }
-                    }
-                    ConfigMetrics {
-                        label: label.clone(),
-                        spans: by_span
-                            .into_iter()
-                            .map(|(name, mut durs)| {
-                                durs.sort_unstable();
-                                SpanStats {
-                                    name: name.to_owned(),
-                                    count: durs.len(),
-                                    p50_ns: percentile_of(&durs, 50).unwrap_or(0),
-                                    p95_ns: percentile_of(&durs, 95).unwrap_or(0),
-                                    p99_ns: percentile_of(&durs, 99).unwrap_or(0),
-                                }
-                            })
-                            .collect(),
-                    }
-                })
-                .collect(),
-        })
-        .collect();
-    Some(MetricsReport { cells })
 }
 
-fn mean_of(cell: &CellSlots, config: usize) -> Option<f64> {
-    let samples: Vec<u64> = cell
-        .boots
-        .iter()
-        .flatten()
-        .map(|by_config| by_config[config])
-        .collect();
+fn mean(samples: &[u64]) -> Option<f64> {
     if samples.is_empty() {
         None
     } else {
@@ -221,29 +185,17 @@ fn mean_of(cell: &CellSlots, config: usize) -> Option<f64> {
     }
 }
 
-fn config_stats(
-    label: &str,
-    samples: &[u64],
-    compare_to_baseline: bool,
-    baseline_mean_ns: Option<f64>,
-) -> ConfigStats {
+/// One config's statistics over its samples in slot order. Every
+/// config but `"conventional"` itself reports its saving against the
+/// cell's conventional mean.
+fn config_stats(label: &str, mut samples: Vec<u64>, baseline_mean_ns: Option<f64>) -> ConfigStats {
     let count = samples.len();
-    if count == 0 {
+    let Some(mean_ns) = mean(&samples) else {
         return ConfigStats {
             label: label.to_owned(),
-            count,
-            mean_ns: 0.0,
-            stddev_ns: 0.0,
-            min_ns: 0,
-            max_ns: 0,
-            p50_ns: 0,
-            p95_ns: 0,
-            p99_ns: 0,
-            saving_ms: None,
-            saving_pct: None,
+            ..ConfigStats::default()
         };
-    }
-    let mean_ns = samples.iter().map(|&n| n as f64).sum::<f64>() / count as f64;
+    };
     let var = samples
         .iter()
         .map(|&n| {
@@ -252,10 +204,9 @@ fn config_stats(
         })
         .sum::<f64>()
         / count as f64;
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
+    samples.sort_unstable();
     let (saving_ms, saving_pct) = match baseline_mean_ns {
-        Some(base) if compare_to_baseline && base > 0.0 => (
+        Some(base) if label != "conventional" && base > 0.0 => (
             Some((base - mean_ns) / 1e6),
             Some(100.0 * (1.0 - mean_ns / base)),
         ),
@@ -266,18 +217,18 @@ fn config_stats(
         count,
         mean_ns,
         stddev_ns: var.sqrt(),
-        min_ns: sorted[0],
-        max_ns: sorted[count - 1],
-        p50_ns: percentile_of(&sorted, 50).unwrap_or(0),
-        p95_ns: percentile_of(&sorted, 95).unwrap_or(0),
-        p99_ns: percentile_of(&sorted, 99).unwrap_or(0),
+        min_ns: samples[0],
+        max_ns: samples[count - 1],
+        p50_ns: percentile_of(&samples, 50).unwrap_or(0),
+        p95_ns: percentile_of(&samples, 95).unwrap_or(0),
+        p99_ns: percentile_of(&samples, 99).unwrap_or(0),
         saving_ms,
         saving_pct,
     }
 }
 
 /// Aggregated statistics for one config within one cell.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ConfigStats {
     /// Config label.
     pub label: String,
@@ -362,7 +313,7 @@ pub struct CellMetrics {
 
 /// Aggregated telemetry spans across a sweep (`bb-metrics-v1`).
 ///
-/// Built in slot order by [`Aggregator::finalize`], so — like the
+/// Built in slot order at finalize, so — like the
 /// [`SweepReport`] itself — its JSON form is byte-identical for any
 /// worker count.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -375,48 +326,35 @@ impl MetricsReport {
     /// Serializes as deterministic JSON stamped `bb-metrics-v1`.
     pub fn to_json(&self) -> String {
         let mut out = json::open_document(json::SCHEMA_METRICS);
-        out.push_str("  \"cells\": [");
-        for (i, cell) in self.cells.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {\"label\": \"");
-            out.push_str(&json::escape(&cell.label));
-            out.push_str("\", \"configs\": [");
-            for (j, c) in cell.configs.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str("\n      {\"label\": \"");
-                out.push_str(&json::escape(&c.label));
-                out.push_str("\", \"spans\": [");
-                for (k, s) in c.spans.iter().enumerate() {
-                    if k > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&format!(
-                        "\n        {{\"name\": \"{}\", \"count\": {}, \"p50_ms\": {}, \"p95_ms\": {}, \"p99_ms\": {}}}",
+        out.push_str("  \"cells\": ");
+        json::array(&mut out, 2, &self.cells, |out, cell| {
+            let _ = write!(
+                out,
+                "{{\"label\": \"{}\", \"configs\": ",
+                json::escape(&cell.label)
+            );
+            json::array(out, 4, &cell.configs, |out, c| {
+                let _ = write!(
+                    out,
+                    "{{\"label\": \"{}\", \"spans\": ",
+                    json::escape(&c.label)
+                );
+                json::array(out, 6, &c.spans, |out, s| {
+                    let _ = write!(
+                        out,
+                        "{{\"name\": \"{}\", \"count\": {}, \"p50_ms\": {}, \"p95_ms\": {}, \"p99_ms\": {}}}",
                         json::escape(&s.name),
                         s.count,
                         json::ms(s.p50_ns as f64),
                         json::ms(s.p95_ns as f64),
                         json::ms(s.p99_ns as f64),
-                    ));
-                }
-                if !c.spans.is_empty() {
-                    out.push_str("\n      ");
-                }
-                out.push_str("]}");
-            }
-            if !cell.configs.is_empty() {
-                out.push_str("\n    ");
-            }
-            out.push_str("]}");
-        }
-        if !self.cells.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("]\n}\n");
+                    );
+                });
+                out.push('}');
+            });
+            out.push('}');
+        });
+        out.push_str("\n}\n");
         out
     }
 }
@@ -441,25 +379,20 @@ impl SweepReport {
     /// any worker count.
     pub fn to_json(&self) -> String {
         let mut out = json::open_document(json::SCHEMA_FLEET);
-        out.push_str("  \"cells\": [");
-        for (i, cell) in self.cells.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {\"label\": \"");
-            out.push_str(&json::escape(&cell.label));
-            out.push_str(&format!(
-                "\", \"seeds\": {}, \"completed\": {}, \"configs\": [",
-                cell.seeds, cell.completed
-            ));
-            for (j, c) in cell.configs.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str("\n      {\"label\": \"");
-                out.push_str(&json::escape(&c.label));
-                out.push_str(&format!(
-                    "\", \"count\": {}, \"mean_ms\": {}, \"stddev_ms\": {}, \"min_ms\": {}, \"max_ms\": {}, \"p50_ms\": {}, \"p95_ms\": {}, \"p99_ms\": {}",
+        out.push_str("  \"cells\": ");
+        json::array(&mut out, 2, &self.cells, |out, cell| {
+            let _ = write!(
+                out,
+                "{{\"label\": \"{}\", \"seeds\": {}, \"completed\": {}, \"configs\": ",
+                json::escape(&cell.label),
+                cell.seeds,
+                cell.completed
+            );
+            json::array(out, 4, &cell.configs, |out, c| {
+                let _ = write!(
+                    out,
+                    "{{\"label\": \"{}\", \"count\": {}, \"mean_ms\": {}, \"stddev_ms\": {}, \"min_ms\": {}, \"max_ms\": {}, \"p50_ms\": {}, \"p95_ms\": {}, \"p99_ms\": {}",
+                    json::escape(&c.label),
                     c.count,
                     json::ms(c.mean_ns),
                     json::ms(c.stddev_ns),
@@ -468,48 +401,30 @@ impl SweepReport {
                     json::ms(c.p50_ns as f64),
                     json::ms(c.p95_ns as f64),
                     json::ms(c.p99_ns as f64),
-                ));
+                );
                 if let (Some(ms), Some(pct)) = (c.saving_ms, c.saving_pct) {
-                    out.push_str(&format!(
-                        ", \"saving_ms\": {:.3}, \"saving_pct\": {:.3}",
-                        ms, pct
-                    ));
+                    let _ = write!(out, ", \"saving_ms\": {ms:.3}, \"saving_pct\": {pct:.3}");
                 }
                 out.push('}');
-            }
-            if !cell.configs.is_empty() {
-                out.push_str("\n    ");
-            }
-            out.push_str("]}");
-        }
-        if !self.cells.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("],\n  \"failures\": [");
-        for (i, f) in self.failures.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"cell\": \"{}\", \"seed\": {}, \"reason\": \"{}\"}}",
+            });
+            out.push('}');
+        });
+        out.push_str(",\n  \"failures\": ");
+        json::array(&mut out, 2, &self.failures, |out, f| {
+            let _ = write!(
+                out,
+                "{{\"cell\": \"{}\", \"seed\": {}, \"reason\": \"{}\"}}",
                 json::escape(&f.cell),
                 f.seed,
                 json::escape(&f.reason)
-            ));
-        }
-        if !self.failures.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str(&format!(
-            "],\n  \"total_boots\": {}\n}}\n",
-            self.total_boots
-        ));
+            );
+        });
+        let _ = write!(out, ",\n  \"total_boots\": {}\n}}\n", self.total_boots);
         out
     }
 
     /// Human-readable table for terminals.
     pub fn summary(&self) -> String {
-        use std::fmt::Write as _;
         let mut out = String::new();
         for cell in &self.cells {
             let _ = writeln!(
@@ -719,8 +634,7 @@ impl std::fmt::Display for DiffEntry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pool::{BootSample, FailureKind};
-    use crate::spec::{CellSpec, Job};
+    use crate::spec::CellSpec;
     use bb_workloads::{profiles, TizenParams};
 
     fn two_seed_spec() -> SweepSpec {
@@ -731,37 +645,33 @@ mod tests {
         )
     }
 
-    fn output(cell: usize, seed_idx: usize, seed: u64, boots: &[u64]) -> JobOutput {
+    fn output(boots: &[u64]) -> JobOutput {
         JobOutput {
-            job: Job { cell, seed_idx },
-            seed,
             samples: boots
                 .iter()
-                .enumerate()
-                .map(|(config, &boot_ns)| BootSample {
-                    config,
+                .map(|&boot_ns| BootSample {
                     boot_ns,
-                    quiesce_ns: boot_ns,
+                    ..BootSample::default()
                 })
                 .collect(),
-            spans: Vec::new(),
-            kernel_sims: 0,
-            peak_events: 0,
-            deduped: 0,
-            elapsed: std::time::Duration::ZERO,
+            ..JobOutput::default()
         }
+    }
+
+    fn store(spec: &SweepSpec) -> Aggregator {
+        Aggregator::new(spec.jobs().len())
     }
 
     #[test]
     fn aggregation_is_order_independent() {
         let spec = two_seed_spec();
-        let mut a = Aggregator::new(&spec);
-        a.accept(Ok(output(0, 0, 5, &[8_000_000_000, 3_000_000_000])));
-        a.accept(Ok(output(0, 1, 6, &[9_000_000_000, 3_500_000_000])));
-        let mut b = Aggregator::new(&spec);
-        b.accept(Ok(output(0, 1, 6, &[9_000_000_000, 3_500_000_000])));
-        b.accept(Ok(output(0, 0, 5, &[8_000_000_000, 3_000_000_000])));
-        let (ra, rb) = (a.finalize(), b.finalize());
+        let mut a = store(&spec);
+        a.accept(0, Ok(output(&[8_000_000_000, 3_000_000_000])));
+        a.accept(1, Ok(output(&[9_000_000_000, 3_500_000_000])));
+        let mut b = store(&spec);
+        b.accept(1, Ok(output(&[9_000_000_000, 3_500_000_000])));
+        b.accept(0, Ok(output(&[8_000_000_000, 3_000_000_000])));
+        let (ra, rb) = (a.sweep_report(&spec), b.sweep_report(&spec));
         assert_eq!(ra, rb);
         assert_eq!(ra.to_json(), rb.to_json());
     }
@@ -769,10 +679,10 @@ mod tests {
     #[test]
     fn stats_and_savings_compute() {
         let spec = two_seed_spec();
-        let mut agg = Aggregator::new(&spec);
-        agg.accept(Ok(output(0, 0, 5, &[8_000_000_000, 3_000_000_000])));
-        agg.accept(Ok(output(0, 1, 6, &[10_000_000_000, 3_000_000_000])));
-        let report = agg.finalize();
+        let mut agg = store(&spec);
+        agg.accept(0, Ok(output(&[8_000_000_000, 3_000_000_000])));
+        agg.accept(1, Ok(output(&[10_000_000_000, 3_000_000_000])));
+        let report = agg.sweep_report(&spec);
         let conv = &report.cells[0].configs[0];
         let bb = &report.cells[0].configs[1];
         assert_eq!(conv.count, 2);
@@ -791,17 +701,10 @@ mod tests {
     #[test]
     fn failures_sort_deterministically_and_keep_slots_empty() {
         let spec = two_seed_spec();
-        let mut agg = Aggregator::new(&spec);
-        agg.accept(Err(JobFailure {
-            job: Job {
-                cell: 0,
-                seed_idx: 1,
-            },
-            seed: 6,
-            kind: FailureKind::Panic("boom".into()),
-        }));
-        agg.accept(Ok(output(0, 0, 5, &[8_000_000_000, 3_000_000_000])));
-        let report = agg.finalize();
+        let mut agg = store(&spec);
+        agg.accept(1, Err(FailureKind::Panic("boom".into())));
+        agg.accept(0, Ok(output(&[8_000_000_000, 3_000_000_000])));
+        let report = agg.sweep_report(&spec);
         assert_eq!(report.cells[0].completed, 1);
         assert_eq!(report.failures.len(), 1);
         assert_eq!(report.failures[0].reason, "panic: boom");
@@ -811,10 +714,10 @@ mod tests {
     #[test]
     fn json_output_parses_back() {
         let spec = two_seed_spec();
-        let mut agg = Aggregator::new(&spec);
-        agg.accept(Ok(output(0, 0, 5, &[8_000_000_000, 3_000_000_000])));
-        agg.accept(Ok(output(0, 1, 6, &[9_000_000_000, 3_200_000_000])));
-        let report = agg.finalize();
+        let mut agg = store(&spec);
+        agg.accept(0, Ok(output(&[8_000_000_000, 3_000_000_000])));
+        agg.accept(1, Ok(output(&[9_000_000_000, 3_200_000_000])));
+        let report = agg.sweep_report(&spec);
         let parsed = json::parse(&report.to_json()).expect("sweep JSON parses");
         assert_eq!(
             parsed.get("schema").and_then(Json::as_str),
@@ -833,10 +736,10 @@ mod tests {
     #[test]
     fn baseline_diff_classifies_drift() {
         let spec = two_seed_spec();
-        let mut agg = Aggregator::new(&spec);
-        agg.accept(Ok(output(0, 0, 5, &[8_000_000_000, 3_000_000_000])));
-        agg.accept(Ok(output(0, 1, 6, &[9_000_000_000, 3_200_000_000])));
-        let report = agg.finalize();
+        let mut agg = store(&spec);
+        agg.accept(0, Ok(output(&[8_000_000_000, 3_000_000_000])));
+        agg.accept(1, Ok(output(&[9_000_000_000, 3_200_000_000])));
+        let report = agg.sweep_report(&spec);
         let baseline = report.to_json();
 
         // Same data → everything unchanged.
@@ -861,31 +764,17 @@ mod tests {
     fn span_metrics_aggregate_in_slot_order() {
         let spec = two_seed_spec();
         let with_spans = |mut out: JobOutput, ns: u64| {
-            out.spans = vec![
-                vec![("unit/a.service".to_owned(), ns)],
-                vec![("unit/a.service".to_owned(), ns / 2)],
-            ];
+            out.samples[0].spans = Some(vec![("unit/a.service".to_owned(), ns)]);
+            out.samples[1].spans = Some(vec![("unit/a.service".to_owned(), ns / 2)]);
             out
         };
-        let mut a = Aggregator::new(&spec);
-        a.accept(Ok(with_spans(
-            output(0, 0, 5, &[8e9 as u64, 3e9 as u64]),
-            100,
-        )));
-        a.accept(Ok(with_spans(
-            output(0, 1, 6, &[9e9 as u64, 4e9 as u64]),
-            200,
-        )));
-        let mut b = Aggregator::new(&spec);
-        b.accept(Ok(with_spans(
-            output(0, 1, 6, &[9e9 as u64, 4e9 as u64]),
-            200,
-        )));
-        b.accept(Ok(with_spans(
-            output(0, 0, 5, &[8e9 as u64, 3e9 as u64]),
-            100,
-        )));
-        let (ra, rb) = (a.finalize(), b.finalize());
+        let mut a = store(&spec);
+        a.accept(0, Ok(with_spans(output(&[8e9 as u64, 3e9 as u64]), 100)));
+        a.accept(1, Ok(with_spans(output(&[9e9 as u64, 4e9 as u64]), 200)));
+        let mut b = store(&spec);
+        b.accept(1, Ok(with_spans(output(&[9e9 as u64, 4e9 as u64]), 200)));
+        b.accept(0, Ok(with_spans(output(&[8e9 as u64, 3e9 as u64]), 100)));
+        let (ra, rb) = (a.sweep_report(&spec), b.sweep_report(&spec));
 
         // Same metrics (and bytes) regardless of arrival order.
         assert_eq!(ra.metrics, rb.metrics);
@@ -905,8 +794,8 @@ mod tests {
         );
 
         // No span data → no metrics report.
-        let mut plain = Aggregator::new(&spec);
-        plain.accept(Ok(output(0, 0, 5, &[8e9 as u64, 3e9 as u64])));
-        assert!(plain.finalize().metrics.is_none());
+        let mut plain = store(&spec);
+        plain.accept(0, Ok(output(&[8e9 as u64, 3e9 as u64])));
+        assert!(plain.sweep_report(&spec).metrics.is_none());
     }
 }

@@ -74,6 +74,32 @@ pub fn escape(s: &str) -> String {
     out
 }
 
+/// Writes `items` as the one array layout every report document uses:
+/// each row on its own line, indented `indent + 2` spaces and written
+/// by `row`; the closing `]` on its own line at `indent` spaces; an
+/// empty array as `[]`.
+pub(crate) fn array<T>(
+    out: &mut String,
+    indent: usize,
+    items: impl IntoIterator<Item = T>,
+    mut row: impl FnMut(&mut String, T),
+) {
+    out.push('[');
+    let mut empty = true;
+    for item in items {
+        if !empty {
+            out.push(',');
+        }
+        empty = false;
+        let _ = write!(out, "\n{:1$}", "", indent + 2);
+        row(out, item);
+    }
+    if !empty {
+        let _ = write!(out, "\n{:1$}", "", indent);
+    }
+    out.push(']');
+}
+
 /// Formats a nanosecond quantity as milliseconds with fixed `{:.3}`
 /// precision — the one float format the sweep codec uses, so output is
 /// reproducible byte for byte.
@@ -361,6 +387,16 @@ mod tests {
     fn escapes_special_characters() {
         assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         assert_eq!(escape("\u{1}"), "\\u0001");
+    }
+
+    #[test]
+    fn arrays_put_rows_on_indented_lines() {
+        let mut out = String::new();
+        array(&mut out, 2, [1, 2], |out, n| out.push_str(&n.to_string()));
+        assert_eq!(out, "[\n    1,\n    2\n  ]");
+        let mut empty = String::new();
+        array(&mut empty, 2, Vec::<u8>::new(), |_, _| unreachable!());
+        assert_eq!(empty, "[]");
     }
 
     #[test]

@@ -8,48 +8,51 @@
 //! work-queue service while keeping the one property the experiments
 //! depend on — **deterministic output**.
 //!
-//! * [`spec`] — [`SweepSpec`]: a grid of cells, each a scenario source
-//!   × seed list × config list. One job boots every config of one
-//!   `(cell, seed)` instance, sharing one generated scenario and one
-//!   [`bb_core::PreParser`] measurement across the config axis.
+//! * [`spec`] — [`SweepSpec`]: one grid of cells for sweeps and chaos
+//!   runs alike, each cell a scenario source × seed list × config list
+//!   plus fault-plan and corruption axes and a supervision overlay. One
+//!   job boots every config of one `(cell, plan, corruption, seed)`
+//!   slot, sharing one generated scenario and one [`bb_core::PreParser`]
+//!   measurement across the config axis. A plain sweep is the grid with
+//!   both failure axes at their pristine slot; [`ChaosSpec`] is the
+//!   same type.
 //! * [`service`] — [`FleetService`]: the persistent executor. Long-lived
 //!   workers, a central bounded work queue with per-client round-robin
 //!   fairness, `submit`/`poll`/`wait`/`cancel` tickets, per-client
-//!   quotas, and one service-wide [`FleetCache`] every ticket shares.
+//!   quotas, and one service-wide [`FleetCache`] every sweep ticket
+//!   shares. The ticket kind ([`WorkItem`]) picks the boot strategy.
 //!   This is what `bbsim serve` runs.
-//! * [`pool`] — the one-shot entry point [`run_sweep`] (a thin client
-//!   that runs a single ticket on a private service) plus the shared
+//! * [`pool`] — the one job runner (per-job panic isolation, wall-clock
+//!   deadlines, failures), the sweep strategy over the shared
 //!   [`FleetCache`] — compiled boot plans ([`bb_core::PlanCache`]),
 //!   memoized scenarios, deduplicated boot outcomes
 //!   ([`SweepSpec::dedup`]), and service-wide kernel checkpoints
-//!   ([`SweepSpec::fork`]). Per-job panic isolation, per-job wall-clock
-//!   deadlines, a failed-job report path, and observability counters
-//!   ([`PoolStats`]).
-//! * [`aggregate`] — the streaming [`Aggregator`]: consumes results in
-//!   arrival order into seed-addressed slots, finalizes in slot order.
-//!   Count/mean/stddev/min/max and nearest-rank p50/p95/p99 per
-//!   (cell, config), savings vs the cell's `"conventional"` config,
-//!   baseline-comparison mode against a saved report (schema
-//!   `bb-fleet-v1`), and — when [`SweepSpec::with_metrics`] is on —
-//!   per-span telemetry percentiles as a [`MetricsReport`]
-//!   (`bb-metrics-v1`).
+//!   ([`SweepSpec::fork`]) — the one-shot entry point [`run_sweep`],
+//!   and the observability counters ([`PoolStats`]).
+//! * [`aggregate`] — the slot store every ticket streams results into,
+//!   addressed by flat job index and finalized in slot order, and the
+//!   sweep report: count/mean/stddev/min/max and nearest-rank
+//!   p50/p95/p99 per (cell, config), savings vs the cell's
+//!   `"conventional"` config, baseline-comparison mode against a saved
+//!   report (schema `bb-fleet-v1`), and — when
+//!   [`SweepSpec::with_metrics`] is on — per-span telemetry percentiles
+//!   as a [`MetricsReport`] (`bb-metrics-v1`).
+//! * [`chaos`] — [`run_chaos`]: the chaos strategy, booting every job
+//!   through the supervised [`bb_core::run_with_fallback_recovering`]
+//!   boot, and its report: recovery rate, restart counts,
+//!   degraded-boot rate, artifact rejection rates, recovery-cost
+//!   percentiles, and boot-time-under-fault percentiles (schema
+//!   `bb-fleet-chaos-v2`).
 //! * [`json`] — the hand-rolled JSON codec (same auditable-codec policy
-//!   as `bb-init::preparse`; DESIGN.md §4 keeps serde out) plus the
-//!   schema constants every emitter stamps its document with via
+//!   as `bb-init::preparse`; DESIGN.md §4 keeps serde out), the one
+//!   array-row writer every report emitter uses, and the schema
+//!   constants every emitter stamps its document with via
 //!   [`json::open_document`].
-//! * [`chaos`] — [`run_chaos`]: the fault-injection sweep, gridding
-//!   `{seed × fault-plan × corruption × config}` through the supervised
-//!   [`bb_core::run_with_fallback_recovering`] boot and aggregating
-//!   recovery rate, restart counts, degraded-boot rate, artifact
-//!   rejection rates, recovery-cost percentiles, and
-//!   boot-time-under-fault percentiles (schema `bb-fleet-chaos-v2`).
-//!   Chaos grids submit to the same service as plain sweeps
-//!   ([`WorkItem::Chaos`]).
 //!
 //! The aggregated report — including its JSON serialization — is
 //! byte-identical for any worker count, any cache state, and any
 //! interleaving of concurrent clients: results land in slots addressed
-//! by `(cell, seed_idx)`, statistics are computed in slot order at
+//! by flat job index, statistics are computed in slot order at
 //! finalize, and nothing host-time-dependent (worker timings, queue
 //! depths) enters the report. Pool observability lives separately in
 //! [`PoolStats`] and [`ServiceStats`].
@@ -81,20 +84,16 @@ pub mod service;
 pub mod spec;
 
 pub use aggregate::{
-    diff_baseline_json, Aggregator, CellMetrics, CellReport, ConfigMetrics, ConfigStats, DiffEntry,
+    diff_baseline_json, CellMetrics, CellReport, ConfigMetrics, ConfigStats, DiffEntry,
     DiffVerdict, FailureReport, MetricsReport, SpanStats, SweepReport,
 };
-pub use chaos::{
-    run_chaos, ChaosCellSpec, ChaosConfigStats, ChaosEvent, ChaosFailure, ChaosJob, ChaosOutcome,
-    ChaosReport, ChaosSpec, Supervision,
-};
+pub use chaos::{run_chaos, ChaosConfigStats, ChaosEvent, ChaosFailure, ChaosOutcome, ChaosReport};
 pub use json::{parse as parse_json, Json, JsonError};
 pub use pool::{
-    run_sweep, BootSample, FailureKind, FleetCache, JobFailure, JobOutput, PoolConfig, PoolStats,
-    SweepOutcome, WorkerStats,
+    run_sweep, FailureKind, FleetCache, PoolConfig, PoolStats, SweepOutcome, WorkerStats,
 };
 pub use service::{
     ClientId, FleetService, ServiceConfig, ServiceReport, ServiceStats, SubmitError, TicketId,
     TicketStatus, WaitError, WorkItem,
 };
-pub use spec::{CellSpec, Job, ScenarioSource, SweepSpec};
+pub use spec::{CellSpec, ChaosSpec, Job, ScenarioSource, Supervision, SweepSpec};

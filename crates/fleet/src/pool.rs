@@ -1,25 +1,26 @@
-//! One-shot sweep execution and the shared artifact cache.
+//! Job execution and the shared artifact cache.
 //!
-//! Since the fleet API redesign, the long-lived executor lives in
-//! [`crate::service`]: a [`crate::FleetService`] owns the worker
-//! threads, the bounded work queue, and the per-client fairness
-//! machinery. This module keeps the *one-shot* entry point —
-//! [`run_sweep`] spins up a private service, submits the spec as a
-//! single ticket, and waits — plus everything a sweep job needs to
-//! execute: the [`FleetCache`], the job runner, and the observability
-//! types ([`PoolStats`], [`WorkerStats`]).
+//! The long-lived executor lives in [`crate::service`]: a
+//! [`crate::FleetService`] owns the worker threads, the bounded work
+//! queue, and the per-client fairness machinery. This module keeps the
+//! *one-shot* entry point — [`run_sweep`] spins up a private service,
+//! submits the spec as a single ticket, and waits — plus everything a
+//! job needs to execute: the [`FleetCache`], the one job runner, and
+//! the observability types ([`PoolStats`], [`WorkerStats`]).
 //!
-//! Every job runs under [`std::panic::catch_unwind`], so one poisoned
-//! scenario cannot take down a sweep: the panic becomes a
-//! [`JobFailure`] on the failure path and the queue keeps draining.
-//! A per-job wall-clock deadline (from [`SweepSpec::deadline`]) is
-//! checked after the job runs — the simulator has no preemption points,
-//! so overruns are detected post-hoc and the result discarded.
+//! One runner serves both ticket kinds. It isolates every job under
+//! [`std::panic::catch_unwind`], so one poisoned scenario cannot take
+//! down a grid: the panic becomes the job's failure and the queue keeps
+//! draining. A per-job wall-clock deadline (from [`SweepSpec::deadline`])
+//! is checked after the job runs — the simulator has no preemption
+//! points, so overruns are detected post-hoc and the result discarded.
+//! The ticket kind picks the boot strategy: sweep jobs boot through the
+//! shared artifacts below, chaos jobs through the supervised fallback
+//! boot of [`crate::chaos`], sharing nothing.
 //!
-//! Determinism: results are identified by `(cell, seed_idx)` and the
-//! aggregator stores them into index-addressed slots, so the *output*
-//! of a sweep is identical for any worker count even though execution
-//! order is not.
+//! Determinism: results are identified by their flat job index and
+//! stored into index-addressed slots, so the *output* of a grid is
+//! identical for any worker count even though execution order is not.
 //!
 //! # Shared artifacts
 //!
@@ -41,17 +42,17 @@
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::aggregate::SweepReport;
-use crate::service::{FleetService, ServiceConfig, ServiceReport, WorkItem};
-use crate::spec::{job_fingerprint, job_scenario, Job, SweepSpec};
+use crate::service::{run_one_shot, ServiceReport, WorkItem};
+use crate::spec::{cell_fingerprint, job_fingerprint, job_scenario, Job, SweepSpec};
 use bb_core::booster::Scenario;
 use bb_core::{BootRequest, Checkpoint, CheckpointPhase, PlanCache, PreParser};
 
 /// Pool sizing for the one-shot entry points ([`run_sweep`],
 /// [`crate::run_chaos`]). The persistent service has its own
-/// [`ServiceConfig`].
+/// [`crate::ServiceConfig`].
 #[derive(Debug, Clone)]
 pub struct PoolConfig {
     /// Worker thread count. Defaults to available parallelism.
@@ -104,7 +105,6 @@ enum CachedBoot {
     /// to re-simulating.
     Done {
         boot_ns: u64,
-        quiesce_ns: u64,
         /// The machine's event-queue high-water mark (simulated state,
         /// deterministic), replayed into `PoolStats::peak_events`.
         peak_events: usize,
@@ -238,60 +238,57 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-/// One boot measurement inside a job.
-#[derive(Debug, Clone, Copy)]
-pub struct BootSample {
-    /// Index into the cell's config list.
-    pub config: usize,
-    /// Boot time (power-on to completion), simulated nanoseconds.
-    pub boot_ns: u64,
-    /// Full quiesce time (deferred work included), simulated nanoseconds.
-    pub quiesce_ns: u64,
+/// One boot's measurement. Sweep boots fill `boot_ns` and, when the
+/// sweep collects metrics, `spans`; chaos boots fill the fault fields.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct BootSample {
+    /// User-visible boot time, simulated nanoseconds (fallback
+    /// detection and reboot included for degraded chaos boots).
+    pub(crate) boot_ns: u64,
+    /// `(span name, duration ns)` telemetry; `Some` only when the sweep
+    /// collects metrics ([`SweepSpec::metrics`]).
+    pub(crate) spans: Option<Vec<(String, u64)>>,
+    /// Supervised respawns the boot took.
+    pub(crate) restarts: u32,
+    /// Why the supervisor fell back to the conventional shape,
+    /// rendered; `Some` exactly for degraded boots.
+    pub(crate) fallback: Option<String>,
+    /// Artifact recoveries the boot went through (retried reads
+    /// included).
+    pub(crate) recoveries: u32,
+    /// Artifacts the integrity chain rejected (subset of `recoveries`).
+    pub(crate) artifacts_rejected: u32,
+    /// Total priced recovery cost (retry backoff + degraded-path
+    /// delta), simulated nanoseconds.
+    pub(crate) recovery_cost_ns: u64,
+    /// Stable description of the first rejection, for the event stream.
+    pub(crate) artifact_detail: Option<String>,
 }
 
-/// A completed job: every config of one `(cell, seed)` slot.
-#[derive(Debug, Clone)]
-pub struct JobOutput {
-    /// Which slot this fills.
-    pub job: Job,
-    /// The seed that was run.
-    pub seed: u64,
+/// A completed job: every config of one grid slot, plus the
+/// deterministic work counters the ticket's [`PoolStats`] sum.
+#[derive(Debug, Default)]
+pub(crate) struct JobOutput {
     /// One sample per config, in config order.
-    pub samples: Vec<BootSample>,
-    /// Per-config `(span name, duration ns)` lists, in config order.
-    /// Empty unless [`SweepSpec::metrics`] is set.
-    pub spans: Vec<Vec<(String, u64)>>,
+    pub(crate) samples: Vec<BootSample>,
     /// Kernel-phase simulations this job actually executed. Equals the
     /// config count for a plain sweep; with [`SweepSpec::fork`] it is
     /// the number of distinct prefix keys in the cell's config list the
     /// service-wide memo had no checkpoint for, and boots served from
     /// the dedup cache simulate nothing at all.
-    pub kernel_sims: usize,
+    pub(crate) kernel_sims: usize,
     /// Deepest simulator event queue observed across this job's boots
     /// (the machine's high-water mark, a sizing signal for
     /// `EventQueue::with_capacity`).
-    pub peak_events: usize,
+    pub(crate) peak_events: usize,
     /// Boots served from the dedup cache instead of simulated (see
     /// [`SweepSpec::dedup`]).
-    pub deduped: usize,
-    /// Wall-clock time the job took (host time; not in JSON output).
-    pub elapsed: Duration,
+    pub(crate) deduped: usize,
 }
 
 /// Why a job produced no samples. The workspace-level
 /// [`bb_core::JobError`], re-exported under the historical fleet name.
 pub use bb_core::JobError as FailureKind;
-
-/// A failed job, reported on the failure path instead of aggregated.
-#[derive(Debug, Clone)]
-pub struct JobFailure {
-    /// Which slot failed.
-    pub job: Job,
-    /// The seed that was running.
-    pub seed: u64,
-    /// What happened.
-    pub kind: FailureKind,
-}
 
 /// Per-worker observability counters.
 #[derive(Debug, Clone, Default)]
@@ -445,61 +442,121 @@ pub struct SweepOutcome {
     pub stats: PoolStats,
 }
 
-/// Runs `spec` to completion on a private [`FleetService`] of
+/// Runs `spec` to completion on a private [`crate::FleetService`] of
 /// `pool.workers` threads, over the given [`FleetCache`].
 ///
-/// This is the single one-shot entry point (the historical
-/// `run_sweep`/`run_sweep_cached` pair collapsed into it). Pass
-/// [`FleetCache::fresh`] for the old fresh-cache behavior, or hold one
+/// Pass [`FleetCache::fresh`] for a private per-call cache, or hold one
 /// `Arc<FleetCache>` across calls to carry compiled plans, memoized
 /// scenarios, deduplicated boot outcomes, and checkpoints between
 /// sweeps. Reports are unaffected by cache state — a warm cache only
 /// changes how much work the sweep skips (visible in [`PoolStats`]).
 ///
 /// The aggregated report is byte-identical for any worker count: result
-/// slots are addressed by `(cell, seed_idx)` and finalized in slot
-/// order, and nothing host-time-dependent enters the report. Long-lived
+/// slots are addressed by flat job index and finalized in slot order,
+/// and nothing host-time-dependent enters the report. Long-lived
 /// callers wanting `submit`/`poll`/`cancel` and cross-client sharing
-/// should hold a [`FleetService`] instead.
+/// should hold a [`crate::FleetService`] instead.
 pub fn run_sweep(spec: &SweepSpec, pool: &PoolConfig, cache: &Arc<FleetCache>) -> SweepOutcome {
-    let service =
-        FleetService::with_cache(ServiceConfig::one_shot(pool.workers), Arc::clone(cache));
-    let ticket = service
-        .submit(0, WorkItem::Sweep(spec.clone()))
-        .expect("a one-shot service accepts a single sweep");
-    match service.wait(ticket) {
-        Ok(ServiceReport::Sweep(outcome)) => outcome,
-        _ => unreachable!("sweep tickets finalize into sweep reports"),
+    match run_one_shot(WorkItem::Sweep(spec.clone()), pool, Arc::clone(cache)) {
+        ServiceReport::Sweep(outcome) => outcome,
+        ServiceReport::Chaos(_) => unreachable!("sweep tickets finalize into sweep reports"),
     }
 }
 
-/// Executes one job with panic isolation and post-hoc deadline check.
-pub(crate) fn run_job(
-    spec: &SweepSpec,
-    shared: &[Option<(Arc<Scenario>, PreParser)>],
-    fps: &[(u64, bool)],
-    cache: &FleetCache,
-    job: Job,
-    builder: &mut bb_sim::MachineBuilder,
-) -> Result<JobOutput, JobFailure> {
-    let cell = &spec.cells[job.cell];
-    let seed = cell.seeds[job.seed_idx];
-    let (base_fp, seed_dependent) = fps[job.cell];
-    let fp = job_fingerprint(base_fp, seed_dependent, seed);
-    let started = std::time::Instant::now();
+/// A ticket's expanded grid, shared read-only with the workers: the
+/// spec, its job list (a job's position is its slot index), and the
+/// boot strategy the ticket kind selects.
+pub(crate) struct Plan {
+    pub(crate) spec: SweepSpec,
+    /// Chaos tickets boot every job supervised under its fault and
+    /// corruption slots, sharing nothing; sweep tickets boot fault-free
+    /// through the shared [`FleetCache`].
+    pub(crate) chaos: bool,
+    pub(crate) jobs: Vec<Job>,
+    /// Sweep tickets only: the per-cell `Fixed` templates and source
+    /// fingerprints (empty for chaos tickets, which build per job).
+    shared: Vec<Option<(Arc<Scenario>, PreParser)>>,
+    fps: Vec<(u64, bool)>,
+}
 
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let builder = &mut *builder;
-        // Jobs with the same fingerprint converge on one Arc'd
-        // scenario, which is what lets the pointer-keyed plan cache hit
-        // across jobs and cells.
-        let (scenario, pre) = cache.scenario(fp, || job_scenario(cell, seed, &shared[job.cell]));
-        let mut samples = Vec::with_capacity(cell.configs.len());
-        let mut spans = Vec::new();
-        let mut kernel_sims = 0usize;
-        let mut peak_events = 0usize;
-        let mut deduped = 0usize;
-        for (config, (label, cfg)) in cell.configs.iter().enumerate() {
+impl Plan {
+    pub(crate) fn new(item: WorkItem) -> Self {
+        let (spec, chaos) = match item {
+            WorkItem::Sweep(spec) => (spec, false),
+            WorkItem::Chaos(spec) => (spec, true),
+        };
+        let (shared, fps) = if chaos {
+            (Vec::new(), Vec::new())
+        } else {
+            let fps = spec.cells.iter().map(cell_fingerprint).collect();
+            (spec.shared_templates(), fps)
+        };
+        Plan {
+            jobs: spec.jobs(),
+            spec,
+            chaos,
+            shared,
+            fps,
+        }
+    }
+
+    /// Executes job `index` with panic isolation and the post-hoc
+    /// wall-clock deadline check.
+    pub(crate) fn run_job(
+        &self,
+        index: usize,
+        cache: &FleetCache,
+        builder: &mut bb_sim::MachineBuilder,
+    ) -> Result<JobOutput, FailureKind> {
+        let job = self.jobs[index];
+        let started = Instant::now();
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            if self.chaos {
+                crate::chaos::boot_job(&self.spec.cells[job.cell], job)
+            } else {
+                self.boot_shared(job, cache, builder)
+            }
+        }));
+        let elapsed = started.elapsed();
+        let out = outcome.map_err(|payload| FailureKind::Panic(panic_message(payload)))??;
+        match self.spec.deadline {
+            Some(deadline) if elapsed > deadline => Err(FailureKind::DeadlineExceeded { elapsed }),
+            _ => Ok(out),
+        }
+    }
+
+    /// The sweep strategy: boots every config of a pristine slot through
+    /// the shared scenario memo, plan cache, dedup cache and checkpoint
+    /// memo.
+    fn boot_shared(
+        &self,
+        job: Job,
+        cache: &FleetCache,
+        builder: &mut bb_sim::MachineBuilder,
+    ) -> Result<JobOutput, FailureKind> {
+        let spec = &self.spec;
+        let cell = &spec.cells[job.cell];
+        if cell.plan_seeds[job.plan_idx].is_some()
+            || cell.corruption_seeds[job.corr_idx].is_some()
+            || cell.supervision.is_some()
+        {
+            return Err(FailureKind::Boost(
+                "fault axes and supervision need a chaos ticket".into(),
+            ));
+        }
+        let seed = cell.seeds[job.seed_idx];
+        let (base_fp, seed_dependent) = self.fps[job.cell];
+        let fp = job_fingerprint(base_fp, seed_dependent, seed);
+        // Jobs with the same fingerprint converge on one Arc'd scenario,
+        // which is what lets the pointer-keyed plan cache hit across
+        // jobs and cells.
+        let (scenario, pre) =
+            cache.scenario(fp, || job_scenario(cell, seed, &self.shared[job.cell]));
+        let mut out = JobOutput {
+            samples: Vec::with_capacity(cell.configs.len()),
+            ..JobOutput::default()
+        };
+        for (label, cfg) in &cell.configs {
             let bits = cfg.bits();
             // Dedup: an identical grid point that already ran anywhere
             // in the sweep replays its (deterministic) outcome.
@@ -512,21 +569,16 @@ pub(crate) fn run_job(
                     }
                     Some(CachedBoot::Done {
                         boot_ns,
-                        quiesce_ns,
-                        peak_events: peak,
-                        spans: cached_spans,
+                        peak_events,
+                        spans,
                     }) => {
-                        samples.push(BootSample {
-                            config,
+                        out.samples.push(BootSample {
                             boot_ns,
-                            quiesce_ns,
+                            spans: spans.filter(|_| spec.metrics),
+                            ..BootSample::default()
                         });
-                        peak_events = peak_events.max(peak);
-                        if spec.metrics {
-                            spans
-                                .push(cached_spans.expect("boot_lookup filters span-less entries"));
-                        }
-                        deduped += 1;
+                        out.peak_events = out.peak_events.max(peak_events);
+                        out.deduped += 1;
                         continue;
                     }
                     None => {}
@@ -549,7 +601,7 @@ pub(crate) fn run_job(
                             .plan_cache(&cache.plans, &scenario)
                             .checkpoint_at(CheckpointPhase::KernelHandoff)
                             .map_err(|e| FailureKind::Boost(e.to_string()))?;
-                        kernel_sims += 1;
+                        out.kernel_sims += 1;
                         cache.checkpoint_insert(key, forked)
                     }
                 };
@@ -560,7 +612,7 @@ pub(crate) fn run_job(
                     .plan_cache(&cache.plans, &scenario)
                     .resume(&ckpt)
             } else {
-                kernel_sims += 1;
+                out.kernel_sims += 1;
                 BootRequest::new(&scenario)
                     .config(*cfg)
                     .prepared(&pre)
@@ -570,7 +622,7 @@ pub(crate) fn run_job(
             };
             let boot = boot.map_err(|e| FailureKind::Boost(e.to_string()))?;
             let peak = boot.machine.event_queue_stats().peak_depth;
-            peak_events = peak_events.max(peak);
+            out.peak_events = out.peak_events.max(peak);
             builder.recycle(boot.machine);
             let report = boot.report;
             // A boot that never met its completion definition is a
@@ -583,16 +635,11 @@ pub(crate) fn run_job(
                     config: label.clone(),
                 });
             };
-            let boot_spans: Option<Vec<(String, u64)>> = spec.metrics.then(|| {
+            let spans: Option<Vec<(String, u64)>> = spec.metrics.then(|| {
                 bb_core::boot_spans(&report)
                     .into_iter()
                     .map(|s| (s.name, s.end.since(s.start).as_nanos()))
                     .collect()
-            });
-            samples.push(BootSample {
-                config,
-                boot_ns: boot_time.as_nanos(),
-                quiesce_ns: report.quiesce_time.as_nanos(),
             });
             if spec.dedup {
                 cache.boot_insert(
@@ -600,45 +647,22 @@ pub(crate) fn run_job(
                     bits,
                     CachedBoot::Done {
                         boot_ns: boot_time.as_nanos(),
-                        quiesce_ns: report.quiesce_time.as_nanos(),
                         peak_events: peak,
-                        spans: boot_spans.clone(),
+                        spans: spans.clone(),
                     },
                 );
             }
-            if let Some(s) = boot_spans {
-                spans.push(s);
-            }
-        }
-        Ok::<_, FailureKind>((samples, spans, kernel_sims, peak_events, deduped))
-    }));
-    let elapsed = started.elapsed();
-
-    let fail = |kind| Err(JobFailure { job, seed, kind });
-    match outcome {
-        Err(payload) => fail(FailureKind::Panic(panic_message(payload))),
-        Ok(Err(kind)) => fail(kind),
-        Ok(Ok((samples, spans, kernel_sims, peak_events, deduped))) => {
-            if let Some(deadline) = spec.deadline {
-                if elapsed > deadline {
-                    return fail(FailureKind::DeadlineExceeded { elapsed });
-                }
-            }
-            Ok(JobOutput {
-                job,
-                seed,
-                samples,
+            out.samples.push(BootSample {
+                boot_ns: boot_time.as_nanos(),
                 spans,
-                kernel_sims,
-                peak_events,
-                deduped,
-                elapsed,
-            })
+                ..BootSample::default()
+            });
         }
+        Ok(out)
     }
 }
 
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -700,6 +724,26 @@ mod tests {
             .failures
             .iter()
             .all(|f| f.reason == "deadline exceeded"));
+    }
+
+    /// A sweep ticket boots fault-free: a slot on an armed fault axis
+    /// fails instead of silently booting as a repeat of the pristine
+    /// slot.
+    #[test]
+    fn sweep_tickets_fail_slots_on_armed_fault_axes() {
+        let mut spec = tiny_spec([1]);
+        spec.cells[0] = spec.cells[0].clone().fault_plans(1, 100);
+        let outcome = run_sweep(&spec, &PoolConfig::with_workers(1), &FleetCache::fresh());
+        assert_eq!(
+            outcome.report.cells[0].completed, 1,
+            "the control slot boots"
+        );
+        assert_eq!(outcome.report.total_boots, 2);
+        assert_eq!(outcome.report.failures.len(), 1);
+        assert_eq!(
+            outcome.report.failures[0].reason,
+            "boost: fault axes and supervision need a chaos ticket"
+        );
     }
 
     #[test]

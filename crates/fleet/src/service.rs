@@ -33,10 +33,9 @@
 //! (slot) order.
 //!
 //! **Determinism** is untouched by any of this: results are aggregated
-//! per ticket into slots addressed by `(cell, seed_idx)` (chaos:
-//! `(cell, plan, corruption, seed)`) and finalized in slot order, so a
-//! ticket's report is byte-identical for any worker count, any client
-//! interleaving, and any cache state. Only [`PoolStats`] /
+//! per ticket into slots addressed by flat job index and finalized in
+//! slot order, so a ticket's report is byte-identical for any worker
+//! count, any client interleaving, and any cache state. Only [`PoolStats`] /
 //! [`ServiceStats`] — host-side observability, never part of a report —
 //! can vary.
 
@@ -46,17 +45,14 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 use crate::aggregate::Aggregator;
-use crate::chaos::{
-    run_chaos_job, ChaosAggregator, ChaosJob, ChaosJobFailure, ChaosJobOutput, ChaosOutcome,
-    ChaosSpec,
-};
+use crate::chaos::ChaosOutcome;
 use crate::json;
 use crate::pool::{
-    lock, run_job, FleetCache, JobFailure, JobOutput, PoolStats, SweepOutcome, WorkerStats,
+    lock, FailureKind, FleetCache, JobOutput, Plan, PoolConfig, PoolStats, SweepOutcome,
+    WorkerStats,
 };
-use crate::spec::{cell_fingerprint, Job, SweepSpec};
-use bb_core::booster::Scenario;
-use bb_core::{PlanCacheStats, PreParser};
+use crate::spec::{ChaosSpec, SweepSpec};
+use bb_core::PlanCacheStats;
 
 /// Identifies a submitting client. The serve layer assigns one per
 /// connection; in-process callers pick their own (quotas and fairness
@@ -119,12 +115,18 @@ impl ServiceConfig {
     }
 }
 
-/// One submittable unit of fleet work.
+/// One submittable unit of fleet work: a grid, and the kind of run
+/// that picks how its jobs boot.
 #[derive(Debug, Clone)]
 pub enum WorkItem {
-    /// A plain boot sweep (see [`SweepSpec`]).
+    /// A plain boot sweep: every job boots fault-free through the
+    /// shared [`FleetCache`] (see [`SweepSpec`]). Cells must keep their
+    /// fault axes at the pristine slot and carry no supervision; a job
+    /// that does not fails instead of booting.
     Sweep(SweepSpec),
-    /// A fault-injection sweep (see [`ChaosSpec`]).
+    /// A fault-injection run (see [`ChaosSpec`]): every job boots
+    /// supervised under its fault-plan and corruption slots, sharing
+    /// no cached artifact.
     Chaos(ChaosSpec),
 }
 
@@ -295,46 +297,17 @@ struct Task {
     index: usize,
 }
 
-/// A ticket's expanded execution plan, shared read-only with workers.
-enum Plan {
-    Sweep {
-        spec: SweepSpec,
-        shared: Vec<Option<(Arc<Scenario>, PreParser)>>,
-        fps: Vec<(u64, bool)>,
-        jobs: Vec<Job>,
-    },
-    Chaos {
-        spec: ChaosSpec,
-        jobs: Vec<ChaosJob>,
-    },
-}
-
-/// A ticket's streaming aggregation state.
-enum TicketAgg {
-    Sweep(Aggregator),
-    Chaos(ChaosAggregator),
-}
-
-/// One worker→service result message.
-enum TicketMsg {
-    Sweep(Result<JobOutput, JobFailure>),
-    Chaos(Result<ChaosJobOutput, ChaosJobFailure>),
-}
-
 struct Ticket {
     client: ClientId,
     plan: Arc<Plan>,
-    agg: Option<TicketAgg>,
+    /// The slot store; taken when the ticket finalizes.
+    agg: Option<Aggregator>,
     /// Jobs not yet accepted; 0 means finalized.
     remaining: usize,
-    total: usize,
     cancelled: bool,
     report: Option<ServiceReport>,
     started: Instant,
     plans_before: PlanCacheStats,
-    kernel_sims: usize,
-    peak_events: usize,
-    cells_deduped: usize,
     max_queue_depth: usize,
 }
 
@@ -428,31 +401,8 @@ struct Inner {
 
 impl Inner {
     fn submit(&self, client: ClientId, item: WorkItem) -> Result<TicketId, SubmitError> {
-        let (plan, total, agg) = match item {
-            WorkItem::Sweep(spec) => {
-                let jobs = spec.jobs();
-                let total = jobs.len();
-                let shared = spec.shared_templates();
-                let fps = spec.cells.iter().map(cell_fingerprint).collect();
-                let agg = TicketAgg::Sweep(Aggregator::new(&spec));
-                (
-                    Plan::Sweep {
-                        spec,
-                        shared,
-                        fps,
-                        jobs,
-                    },
-                    total,
-                    agg,
-                )
-            }
-            WorkItem::Chaos(spec) => {
-                let jobs = spec.jobs();
-                let total = jobs.len();
-                let agg = TicketAgg::Chaos(ChaosAggregator::new(&spec));
-                (Plan::Chaos { spec, jobs }, total, agg)
-            }
-        };
+        let plan = Plan::new(item);
+        let total = plan.jobs.len();
         let id = self.next_ticket.fetch_add(1, Ordering::Relaxed);
         {
             let mut tickets = lock(&self.tickets);
@@ -469,16 +419,12 @@ impl Inner {
                 Ticket {
                     client,
                     plan: Arc::new(plan),
-                    agg: Some(agg),
+                    agg: Some(Aggregator::new(total)),
                     remaining: total,
-                    total,
                     cancelled: false,
                     report: None,
                     started: Instant::now(),
                     plans_before: self.cache.plans().stats(),
-                    kernel_sims: 0,
-                    peak_events: 0,
-                    cells_deduped: 0,
                     // The historical semantic: queue depth is at least
                     // this ticket's own job count.
                     max_queue_depth: total,
@@ -554,9 +500,9 @@ impl Inner {
         }
     }
 
-    /// Accepts one worker result into its ticket, finalizing on the
+    /// Accepts job `index`'s result into its ticket, finalizing on the
     /// last one.
-    fn accept(&self, ticket: TicketId, msg: TicketMsg) {
+    fn accept(&self, ticket: TicketId, index: usize, result: Result<JobOutput, FailureKind>) {
         let depth = self.queued.load(Ordering::Relaxed);
         let mut tickets = lock(&self.tickets);
         let table = &mut *tickets;
@@ -568,18 +514,10 @@ impl Inner {
             return;
         }
         t.max_queue_depth = t.max_queue_depth.max(depth);
-        match (&mut t.agg, msg) {
-            (Some(TicketAgg::Sweep(agg)), TicketMsg::Sweep(result)) => {
-                if let Ok(out) = &result {
-                    t.kernel_sims += out.kernel_sims;
-                    t.peak_events = t.peak_events.max(out.peak_events);
-                    t.cells_deduped += out.deduped;
-                }
-                agg.accept(result);
-            }
-            (Some(TicketAgg::Chaos(agg)), TicketMsg::Chaos(result)) => agg.accept(result),
-            _ => unreachable!("a ticket's plan and its results are the same kind"),
-        }
+        t.agg
+            .as_mut()
+            .expect("unfinished tickets hold their slot store")
+            .accept(index, result);
         t.remaining -= 1;
         lock(&self.totals).jobs_executed += 1;
         if t.remaining == 0 {
@@ -595,76 +533,56 @@ impl Inner {
     /// Builds the ticket's report (called with the ticket lock held).
     fn finalize_ticket(&self, t: &mut Ticket) {
         let agg = t.agg.take().expect("tickets finalize exactly once");
-        let wall = t.started.elapsed();
-        let per_worker = lock(&self.worker_stats).clone();
-        let report = match agg {
-            TicketAgg::Sweep(agg) => {
-                let plans = self.cache.plans().stats();
-                ServiceReport::Sweep(SweepOutcome {
-                    report: agg.finalize(),
-                    stats: PoolStats {
-                        workers: self.workers,
-                        wall,
-                        jobs: t.total,
-                        max_queue_depth: t.max_queue_depth,
-                        restarts: 0,
-                        kernel_sims: t.kernel_sims,
-                        peak_events: t.peak_events,
-                        // Counter deltas around this ticket; exact when
-                        // the ticket ran alone, approximate when
-                        // concurrent tickets compiled plans meanwhile.
-                        plans_compiled: plans
-                            .plans_compiled
-                            .saturating_sub(t.plans_before.plans_compiled),
-                        plan_cache_hits: plans.hits.saturating_sub(t.plans_before.hits),
-                        cells_deduped: t.cells_deduped,
-                        recoveries: 0,
-                        artifacts_rejected: 0,
-                        per_worker,
-                    },
-                })
-            }
-            TicketAgg::Chaos(agg) => {
-                let Plan::Chaos { spec, .. } = &*t.plan else {
-                    unreachable!("chaos aggregators belong to chaos plans")
-                };
-                let (report, chaos_totals) = agg.finalize(spec);
-                ServiceReport::Chaos(ChaosOutcome {
-                    report,
-                    stats: PoolStats {
-                        workers: self.workers,
-                        wall,
-                        jobs: t.total,
-                        max_queue_depth: t.max_queue_depth,
-                        restarts: chaos_totals.restarts,
-                        // Chaos boots run under their own fault plans
-                        // and share no cached artifacts.
-                        kernel_sims: 0,
-                        peak_events: 0,
-                        plans_compiled: 0,
-                        plan_cache_hits: 0,
-                        cells_deduped: 0,
-                        recoveries: chaos_totals.recoveries,
-                        artifacts_rejected: chaos_totals.artifacts_rejected,
-                        per_worker,
-                    },
-                })
-            }
+        let plans = self.cache.plans().stats();
+        // Counter deltas around this ticket; exact when the ticket ran
+        // alone, approximate when concurrent tickets compiled plans
+        // meanwhile. Chaos boots share no cached artifacts, so none of
+        // the delta is theirs.
+        let (plans_compiled, plan_cache_hits) = if t.plan.chaos {
+            (0, 0)
+        } else {
+            (
+                plans
+                    .plans_compiled
+                    .saturating_sub(t.plans_before.plans_compiled),
+                plans.hits.saturating_sub(t.plans_before.hits),
+            )
+        };
+        let stats = PoolStats {
+            workers: self.workers,
+            wall: t.started.elapsed(),
+            jobs: t.plan.jobs.len(),
+            max_queue_depth: t.max_queue_depth,
+            restarts: agg.restarts,
+            kernel_sims: agg.kernel_sims,
+            peak_events: agg.peak_events,
+            plans_compiled,
+            plan_cache_hits,
+            cells_deduped: agg.deduped,
+            recoveries: agg.recoveries,
+            artifacts_rejected: agg.artifacts_rejected,
+            per_worker: lock(&self.worker_stats).clone(),
         };
         let mut totals = lock(&self.totals);
         totals.tickets_completed += 1;
-        match &report {
-            ServiceReport::Sweep(o) => {
-                totals.kernel_sims += o.stats.kernel_sims as u64;
-                totals.cells_deduped += o.stats.cells_deduped as u64;
-            }
-            ServiceReport::Chaos(o) => {
-                totals.restarts += o.stats.restarts as u64;
-                totals.recoveries += o.stats.recoveries as u64;
-                totals.artifacts_rejected += o.stats.artifacts_rejected as u64;
-            }
-        }
-        t.report = Some(report);
+        totals.kernel_sims += stats.kernel_sims as u64;
+        totals.cells_deduped += stats.cells_deduped as u64;
+        totals.restarts += stats.restarts as u64;
+        totals.recoveries += stats.recoveries as u64;
+        totals.artifacts_rejected += stats.artifacts_rejected as u64;
+        drop(totals);
+        let spec = &t.plan.spec;
+        t.report = Some(if t.plan.chaos {
+            ServiceReport::Chaos(ChaosOutcome {
+                report: agg.chaos_report(spec),
+                stats,
+            })
+        } else {
+            ServiceReport::Sweep(SweepOutcome {
+                report: agg.sweep_report(spec),
+                stats,
+            })
+        });
     }
 
     fn wait(&self, id: TicketId) -> Result<ServiceReport, WaitError> {
@@ -695,18 +613,12 @@ impl Inner {
             } else if t.report.is_some() {
                 TicketStatus::Done
             } else {
-                let completed = match &t.agg {
-                    Some(TicketAgg::Sweep(a)) => a.accepted(),
-                    Some(TicketAgg::Chaos(a)) => a.accepted(),
-                    None => t.total,
-                };
+                let total = t.plan.jobs.len();
+                let completed = total - t.remaining;
                 if completed == 0 {
-                    TicketStatus::Queued { total: t.total }
+                    TicketStatus::Queued { total }
                 } else {
-                    TicketStatus::Running {
-                        completed,
-                        total: t.total,
-                    }
+                    TicketStatus::Running { completed, total }
                 }
             }
         })
@@ -796,30 +708,32 @@ fn worker_loop(inner: Arc<Inner>, w: usize) {
         // Cancelled or retracted tickets leave orphan tasks; skip them.
         let Some(plan) = plan else { continue };
         let started = Instant::now();
-        let msg = match &*plan {
-            Plan::Sweep {
-                spec,
-                shared,
-                fps,
-                jobs,
-            } => TicketMsg::Sweep(run_job(
-                spec,
-                shared,
-                fps,
-                &inner.cache,
-                jobs[task.index],
-                &mut builder,
-            )),
-            Plan::Chaos { spec, jobs } => TicketMsg::Chaos(run_chaos_job(spec, jobs[task.index])),
-        };
+        let result = plan.run_job(task.index, &inner.cache, &mut builder);
         let elapsed = started.elapsed();
         {
             let mut ws = lock(&inner.worker_stats);
             ws[w].jobs += 1;
             ws[w].busy += elapsed;
         }
-        inner.accept(task.ticket, msg);
+        inner.accept(task.ticket, task.index, result);
     }
+}
+
+/// Runs one work item to completion on a private service of
+/// `pool.workers` threads with unbounded admission — what the one-shot
+/// entry points ([`crate::run_sweep`], [`crate::run_chaos`]) are.
+pub(crate) fn run_one_shot(
+    item: WorkItem,
+    pool: &PoolConfig,
+    cache: Arc<FleetCache>,
+) -> ServiceReport {
+    let service = FleetService::with_cache(ServiceConfig::one_shot(pool.workers), cache);
+    let ticket = service
+        .submit(0, item)
+        .expect("a one-shot service accepts its single ticket");
+    service
+        .wait(ticket)
+        .expect("a one-shot ticket finalizes into a report")
 }
 
 /// The persistent fleet executor (see the module docs).

@@ -1,19 +1,26 @@
-//! Sweep specification: a cartesian grid of boot simulations.
+//! Grid specification: one cartesian grid of boot simulations for
+//! sweeps and chaos runs alike.
 //!
 //! A [`SweepSpec`] is a list of *cells*. Each cell names a scenario
 //! source (a synthetic Tizen workload or a fixed [`Scenario`]), the
-//! seeds to instantiate it with, and the [`BbConfig`]s to boot each
-//! instance under. One *job* is one `(cell, seed)` slot: the worker
-//! builds the scenario once, measures its [`PreParser`] once, and boots
-//! every config against that shared template — the expensive
-//! regeneration work is amortized across the whole config axis instead
-//! of being paid per boot.
+//! seeds to instantiate it with, the [`BbConfig`]s to boot each
+//! instance under, and two failure axes — fault plans and artifact
+//! corruption plans — plus the supervision overlay and supervisor
+//! deadline a chaos run boots with. One *job* is one `(cell, plan,
+//! corruption, seed)` slot: the worker builds the scenario once and
+//! boots every config against it, so the expensive regeneration work is
+//! amortized across the whole config axis.
+//!
+//! A plain sweep is the same grid with both failure axes at their
+//! pristine slot (`[None]`, the default) and no supervision; the ticket
+//! kind ([`crate::WorkItem`]) picks how its jobs boot.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use bb_core::booster::Scenario;
-use bb_core::{BbConfig, PreParser};
+use bb_core::{BbConfig, FallbackPolicy, PreParser};
+use bb_init::RestartPolicy;
 use bb_sim::{fnv1a, FNV1A_OFFSET, FNV1A_PRIME};
 use bb_workloads::{tv_scenario_with, MachineProfile, TizenParams};
 
@@ -35,47 +42,118 @@ pub enum ScenarioSource {
     Fixed(Arc<Scenario>),
 }
 
-/// One cell of the sweep grid.
+/// Supervision overlay a chaos cell arms on every service unit.
+#[derive(Debug, Clone, Copy)]
+pub struct Supervision {
+    /// Restart policy to apply.
+    pub restart: RestartPolicy,
+    /// `RestartSec=` backoff, milliseconds.
+    pub restart_sec_ms: u64,
+    /// `StartLimitBurst=` respawn bound.
+    pub start_limit_burst: u32,
+}
+
+impl Default for Supervision {
+    fn default() -> Self {
+        Supervision {
+            restart: RestartPolicy::OnFailure,
+            restart_sec_ms: 100,
+            start_limit_burst: 3,
+        }
+    }
+}
+
+/// One cell of the grid.
 #[derive(Debug, Clone)]
 pub struct CellSpec {
     /// Cell label; appears in reports and JSON.
     pub label: String,
     /// Scenario source.
     pub source: ScenarioSource,
-    /// Seeds to instantiate the source with; one job per seed.
+    /// Seeds to instantiate the source with; one job per seed (per
+    /// plan and corruption slot).
     pub seeds: Vec<u64>,
+    /// Fault-plan axis: `None` is the fault-free control, `Some(seed)`
+    /// a seeded [`bb_sim::FaultPlan`] over the scenario's fault
+    /// targets. `[None]` by default.
+    pub plan_seeds: Vec<Option<u64>>,
+    /// Corruption axis: `None` is the pristine control (no artifact
+    /// read staged, so the integrity chain never runs), `Some(seed)`
+    /// damages the scenario's encoded pre-parse blob with
+    /// [`bb_sim::CorruptionPlan::seeded`] and derives the read's
+    /// transient-failure count from the same seed. `[None]` by default.
+    pub corruption_seeds: Vec<Option<u64>>,
+    /// Supervision overlay; `None` (the default) boots the units as
+    /// authored.
+    pub supervision: Option<Supervision>,
     /// `(label, config)` pairs each instance boots under. A config
-    /// labeled `"conventional"` becomes the cell's savings baseline.
+    /// labeled `"conventional"` becomes a sweep cell's savings baseline.
     pub configs: Vec<(String, BbConfig)>,
+    /// Boot-supervisor deadline of chaos boots, milliseconds; the
+    /// [`FallbackPolicy`] default unless set.
+    pub deadline_ms: u64,
 }
 
 impl CellSpec {
+    fn new(label: String, source: ScenarioSource, seed: u64) -> Self {
+        CellSpec {
+            label,
+            source,
+            seeds: vec![seed],
+            plan_seeds: vec![None],
+            corruption_seeds: vec![None],
+            supervision: None,
+            configs: Vec::new(),
+            deadline_ms: FallbackPolicy::default().deadline.as_millis(),
+        }
+    }
+
     /// A cell generating Tizen TV workloads on `profile`. Starts with
     /// `params.seed` as the only seed; override with [`CellSpec::seeds`].
     pub fn tizen(label: impl Into<String>, profile: MachineProfile, params: TizenParams) -> Self {
         let seed = params.seed;
-        CellSpec {
-            label: label.into(),
-            source: ScenarioSource::Tizen { profile, params },
-            seeds: vec![seed],
-            configs: Vec::new(),
-        }
+        CellSpec::new(
+            label.into(),
+            ScenarioSource::Tizen { profile, params },
+            seed,
+        )
     }
 
     /// A cell booting one fixed scenario. Starts with a single seed 0
     /// (one job); add more to boot the identical scenario repeatedly.
     pub fn fixed(label: impl Into<String>, scenario: Scenario) -> Self {
-        CellSpec {
-            label: label.into(),
-            source: ScenarioSource::Fixed(Arc::new(scenario)),
-            seeds: vec![0],
-            configs: Vec::new(),
-        }
+        CellSpec::new(label.into(), ScenarioSource::Fixed(Arc::new(scenario)), 0)
     }
 
     /// Replaces the seed list.
     pub fn seeds(mut self, seeds: impl IntoIterator<Item = u64>) -> Self {
         self.seeds = seeds.into_iter().collect();
+        self
+    }
+
+    /// Sets the fault-plan axis to the control plan plus `n` seeded
+    /// plans starting at `base`.
+    pub fn fault_plans(mut self, n: u64, base: u64) -> Self {
+        self.plan_seeds = control_plus(n, base);
+        self
+    }
+
+    /// Sets the corruption axis to the pristine control plus `n` seeded
+    /// corruption plans starting at `base`.
+    pub fn corruption_plans(mut self, n: u64, base: u64) -> Self {
+        self.corruption_seeds = control_plus(n, base);
+        self
+    }
+
+    /// Replaces the supervision overlay.
+    pub fn supervision(mut self, s: Option<Supervision>) -> Self {
+        self.supervision = s;
+        self
+    }
+
+    /// Sets the boot-supervisor deadline.
+    pub fn deadline_ms(mut self, ms: u64) -> Self {
+        self.deadline_ms = ms;
         self
     }
 
@@ -107,13 +185,25 @@ impl CellSpec {
             .pass_selection("bb", &bb_core::STANDARD_PASSES)
     }
 
-    /// Boots this cell contributes to the sweep.
+    /// Jobs this cell expands to: one per `(plan, corruption, seed)`.
+    pub(crate) fn jobs(&self) -> usize {
+        self.plan_seeds.len() * self.corruption_seeds.len() * self.seeds.len()
+    }
+
+    /// Boots this cell contributes to the grid.
     pub fn boots(&self) -> usize {
-        self.seeds.len() * self.configs.len()
+        self.jobs() * self.configs.len()
     }
 }
 
-/// The full sweep: cells plus execution policy that belongs to the
+/// The control slot followed by `n` seeded slots from `base`.
+fn control_plus(n: u64, base: u64) -> Vec<Option<u64>> {
+    std::iter::once(None)
+        .chain((0..n).map(|i| Some(base + i)))
+        .collect()
+}
+
+/// The full grid: cells plus execution policy that belongs to the
 /// *work* (not the pool), i.e. the per-job deadline.
 #[derive(Debug, Clone)]
 pub struct SweepSpec {
@@ -145,6 +235,11 @@ pub struct SweepSpec {
     pub dedup: bool,
 }
 
+/// The chaos grid is the sweep grid: cells whose fault-plan and
+/// corruption axes hold seeded slots, submitted as
+/// [`crate::WorkItem::Chaos`].
+pub type ChaosSpec = SweepSpec;
+
 impl Default for SweepSpec {
     fn default() -> Self {
         SweepSpec {
@@ -158,7 +253,7 @@ impl Default for SweepSpec {
 }
 
 impl SweepSpec {
-    /// An empty sweep.
+    /// An empty grid.
     pub fn new() -> Self {
         SweepSpec::default()
     }
@@ -199,12 +294,23 @@ impl SweepSpec {
         self.cells.iter().map(CellSpec::boots).sum()
     }
 
-    /// Expands the grid into jobs, in deterministic (cell, seed) order.
+    /// Expands the grid into jobs in deterministic (cell, plan,
+    /// corruption, seed) order. A job's position in this list is its
+    /// flat index — the address of its result slot.
     pub fn jobs(&self) -> Vec<Job> {
         let mut jobs = Vec::new();
         for (cell, c) in self.cells.iter().enumerate() {
-            for seed_idx in 0..c.seeds.len() {
-                jobs.push(Job { cell, seed_idx });
+            for plan_idx in 0..c.plan_seeds.len() {
+                for corr_idx in 0..c.corruption_seeds.len() {
+                    for seed_idx in 0..c.seeds.len() {
+                        jobs.push(Job {
+                            cell,
+                            plan_idx,
+                            corr_idx,
+                            seed_idx,
+                        });
+                    }
+                }
             }
         }
         jobs
@@ -225,11 +331,16 @@ impl SweepSpec {
     }
 }
 
-/// One unit of pool work: all configs of one `(cell, seed)` slot.
+/// One unit of pool work: all configs of one `(cell, plan, corruption,
+/// seed)` slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Job {
     /// Index into [`SweepSpec::cells`].
     pub cell: usize,
+    /// Index into that cell's plan list.
+    pub plan_idx: usize,
+    /// Index into that cell's corruption list.
+    pub corr_idx: usize,
     /// Index into that cell's seed list.
     pub seed_idx: usize,
 }
@@ -315,28 +426,63 @@ mod tests {
             .cell(small_cell().seeds([7]).config("bb", BbConfig::full()));
         let jobs = spec.jobs();
         assert_eq!(jobs.len(), 4);
-        assert_eq!(
-            jobs[0],
-            Job {
-                cell: 0,
-                seed_idx: 0
-            }
-        );
-        assert_eq!(
-            jobs[2],
-            Job {
-                cell: 0,
-                seed_idx: 2
-            }
-        );
-        assert_eq!(
-            jobs[3],
-            Job {
-                cell: 1,
-                seed_idx: 0
-            }
-        );
+        let job = |cell, seed_idx| Job {
+            cell,
+            plan_idx: 0,
+            corr_idx: 0,
+            seed_idx,
+        };
+        assert_eq!(jobs[0], job(0, 0));
+        assert_eq!(jobs[2], job(0, 2));
+        assert_eq!(jobs[3], job(1, 0));
         assert_eq!(spec.total_boots(), 3 * 2 + 1);
+    }
+
+    #[test]
+    fn fault_axes_expand_plan_then_corruption_then_seed() {
+        let spec = SweepSpec::new().cell(
+            small_cell()
+                .seeds([1, 2])
+                .fault_plans(2, 100)
+                .corruption_plans(1, 500)
+                .conventional_vs_bb(),
+        );
+        let cell = &spec.cells[0];
+        assert_eq!(cell.plan_seeds, [None, Some(100), Some(101)]);
+        assert_eq!(cell.corruption_seeds, [None, Some(500)]);
+        assert_eq!(spec.total_boots(), 3 * 2 * 2 * 2);
+        let jobs = spec.jobs();
+        assert_eq!(jobs.len(), 12);
+        let at = |i: usize| (jobs[i].plan_idx, jobs[i].corr_idx, jobs[i].seed_idx);
+        assert_eq!(at(0), (0, 0, 0));
+        assert_eq!(at(1), (0, 0, 1));
+        assert_eq!(at(2), (0, 1, 0));
+        assert_eq!(at(4), (1, 0, 0));
+        assert_eq!(at(11), (2, 1, 1));
+    }
+
+    #[test]
+    fn cells_default_to_the_pristine_unsupervised_slot() {
+        let cell = small_cell();
+        assert_eq!(cell.plan_seeds, [None]);
+        assert_eq!(cell.corruption_seeds, [None]);
+        assert!(cell.supervision.is_none());
+        assert_eq!(
+            cell.deadline_ms,
+            FallbackPolicy::default().deadline.as_millis()
+        );
+    }
+
+    #[test]
+    fn conventional_vs_bb_is_the_conventional_and_full_configs() {
+        let cell = small_cell().conventional_vs_bb();
+        assert_eq!(
+            cell.configs,
+            [
+                ("conventional".to_owned(), BbConfig::conventional()),
+                ("bb".to_owned(), BbConfig::full()),
+            ]
+        );
     }
 
     #[test]

@@ -7,8 +7,14 @@
 //!    (via [`SweepArgs::parse_flag`]),
 //! 2. the single-line JSON a client sends to `bbsim serve`
 //!    ([`SweepArgs::to_wire_json`] / [`SweepArgs::from_wire`]), and
-//! 3. the [`SweepSpec`]/[`ChaosSpec`] grid the fleet service executes
+//! 3. the [`SweepSpec`] grid the fleet service executes
 //!    ([`SweepArgs::to_work_item`]).
+//!
+//! The grid builder admits a job before it allocates anything: seed
+//! ranges must not overflow, generated scenarios are bounded in size,
+//! and a job may expand to at most 2^20 boots. A job past
+//! any limit is an `Err` — which the server renders as a `bb-serve-v1`
+//! error line and the CLI as a one-line error.
 //!
 //! Because every surface funnels through the same grid builder, a
 //! `bbsim submit` round trip produces byte-identical report JSON to the
@@ -25,7 +31,7 @@ use std::time::Duration;
 
 use bb_core::{BbConfig, FallbackPolicy};
 use bb_fleet::json::{self, Json};
-use bb_fleet::{CellSpec, ChaosCellSpec, ChaosSpec, Supervision, SweepSpec, TicketId, WorkItem};
+use bb_fleet::{CellSpec, ChaosSpec, Supervision, SweepSpec, TicketId, WorkItem};
 use bb_init::RestartPolicy;
 use bb_workloads::{profiles, MachineProfile, TizenParams};
 
@@ -259,11 +265,17 @@ impl SweepArgs {
                 *into = s.to_owned();
             }
         };
+        // JSON numbers decode as f64, which holds integers exactly only
+        // below 2^53: anything larger would silently round.
         fn uint(v: &Json, key: &str) -> Result<Option<u64>, String> {
             match v.get(key) {
                 None | Some(Json::Null) => Ok(None),
-                Some(Json::Num(n)) if *n >= 0.0 && n.fract() == 0.0 => Ok(Some(*n as u64)),
-                Some(_) => Err(format!("job field {key:?} must be a non-negative integer")),
+                Some(Json::Num(n)) if (0.0..MAX_WIRE_INT).contains(n) && n.fract() == 0.0 => {
+                    Ok(Some(*n as u64))
+                }
+                Some(_) => Err(format!(
+                    "job field {key:?} must be a non-negative integer below 2^53"
+                )),
             }
         }
         fn flag(v: &Json, key: &str, into: &mut bool) -> Result<(), String> {
@@ -306,119 +318,158 @@ impl SweepArgs {
             args.restart_sec_ms = n;
         }
         if let Some(n) = uint(v, "burst")? {
-            args.burst = n as u32;
+            args.burst = u32::try_from(n).map_err(|_| "job field \"burst\" must fit in 32 bits")?;
         }
         Ok(args)
     }
 
-    /// Expands a sweep job into its grid — the same grid `bbsim sweep`
-    /// has always built: one cell per profile, `conventional` vs the
-    /// boosted feature set, `{profile}-s{services}` labels.
+    /// The sweep grid of this job (see [`SweepArgs::to_work_item`]).
     pub fn sweep_spec(&self) -> Result<SweepSpec, String> {
-        let services = self.services.unwrap_or(136);
-        check_services(services)?;
-        let boosted = BbConfig::from_feature_list(&self.features)?;
-        let boosted_label = if self.features == "all" || self.features == "full" {
-            "bb".to_string()
-        } else {
-            self.features.clone()
-        };
-        let mut spec = SweepSpec::new()
-            .with_metrics(self.metrics)
-            .with_dedup(self.dedup)
-            .with_fork(self.fork);
-        if let Some(ms) = self.deadline_ms {
-            spec = spec.deadline(Duration::from_millis(ms));
-        }
-        let seed_base = self.seed.unwrap_or(0);
-        for profile in resolve_profiles(&self.profiles)? {
-            let label = format!("{}-s{}", profile.name, services);
-            spec = spec.cell(
-                CellSpec::tizen(
-                    label,
-                    profile,
-                    TizenParams {
-                        services,
-                        ..TizenParams::default()
-                    },
-                )
-                .seeds(seed_base..seed_base + self.seeds)
-                .config("conventional", BbConfig::conventional())
-                .config(boosted_label.clone(), boosted),
-            );
-        }
-        Ok(spec)
+        self.grid(false)
     }
 
-    /// Expands a chaos job into its grid — the same grid `bbsim chaos`
-    /// has always built.
+    /// The chaos grid of this job (see [`SweepArgs::to_work_item`]).
     pub fn chaos_spec(&self) -> Result<ChaosSpec, String> {
-        let services = self.services.unwrap_or(136);
-        check_services(services)?;
-        let restart = match self.restart.as_str() {
-            "no" | "none" => RestartPolicy::No,
-            "on-failure" => RestartPolicy::OnFailure,
-            "always" => RestartPolicy::Always,
-            other => {
-                return Err(format!(
-                    "unknown --restart policy {other:?} (no|on-failure|always)"
-                ))
-            }
-        };
-        let supervision = if restart == RestartPolicy::No {
-            None
-        } else {
-            Some(Supervision {
-                restart,
-                restart_sec_ms: self.restart_sec_ms,
-                start_limit_burst: self.burst,
-            })
-        };
-        let deadline_ms = self
-            .deadline_ms
-            .unwrap_or_else(|| FallbackPolicy::default().deadline.as_millis());
-        let seed_base = self.seed.unwrap_or(0);
-        let mut spec = ChaosSpec::new();
-        for profile in resolve_profiles(&self.profiles)? {
-            let label = format!("{}-s{}", profile.name, services);
-            spec = spec.cell(
-                ChaosCellSpec::tizen(
-                    label,
-                    profile,
-                    TizenParams {
-                        services,
-                        ..TizenParams::default()
-                    },
-                )
-                .seeds(seed_base..seed_base + self.seeds)
-                .fault_plans(self.plans, self.plan_seed)
-                .corruption_plans(self.corruption, self.corruption_seed)
-                .supervision(supervision)
-                .deadline_ms(deadline_ms)
-                .conventional_vs_bb(),
-            );
-        }
-        Ok(spec)
+        self.grid(true)
     }
 
     /// The submittable [`WorkItem`] this job expands to.
     pub fn to_work_item(&self) -> Result<WorkItem, String> {
         match self.kind {
-            JobKind::Sweep => Ok(WorkItem::Sweep(self.sweep_spec()?)),
-            JobKind::Chaos => Ok(WorkItem::Chaos(self.chaos_spec()?)),
+            JobKind::Sweep => Ok(WorkItem::Sweep(self.grid(false)?)),
+            JobKind::Chaos => Ok(WorkItem::Chaos(self.grid(true)?)),
             JobKind::Suspend => {
                 Err("suspend runs locally; the serve queue accepts sweep and chaos jobs".into())
             }
         }
     }
+
+    /// The one grid builder — the grid `bbsim sweep` and `bbsim chaos`
+    /// have always built: one cell per profile labeled
+    /// `{profile}-s{services}`, seeds `seed..seed + seeds`. A sweep
+    /// boots `conventional` against the boosted feature set; a chaos
+    /// grid boots `conventional` against full BB under `plans` fault
+    /// plans and `corruption` corruption plans (each plus its control
+    /// slot) with the requested supervision.
+    ///
+    /// Every limit is checked before any axis is allocated.
+    fn grid(&self, chaos: bool) -> Result<SweepSpec, String> {
+        let services = self.services.unwrap_or(136);
+        if services < MIN_SERVICES {
+            return Err("--services must be at least 24 (the TV backbone alone needs that)".into());
+        }
+        if services > MAX_SERVICES {
+            return Err(format!("--services must be at most {MAX_SERVICES}"));
+        }
+        let profiles = resolve_profiles(&self.profiles)?;
+        let (plans, corruption) = if chaos {
+            (self.plans, self.corruption)
+        } else {
+            (0, 0)
+        };
+        let seed = self.seed.unwrap_or(0);
+        for (flag, base, n) in [
+            ("--seed", seed, self.seeds),
+            ("--plan-seed", self.plan_seed, plans),
+            ("--corruption-seed", self.corruption_seed, corruption),
+        ] {
+            if base.checked_add(n).is_none() {
+                return Err(format!("{flag} {base} plus {n} seeds overflows 64 bits"));
+            }
+        }
+        let boots = [
+            profiles.len() as u64,
+            self.seeds,
+            plans.saturating_add(1),
+            corruption.saturating_add(1),
+            2,
+        ]
+        .into_iter()
+        .try_fold(1u64, u64::checked_mul);
+        if boots.is_none_or(|b| b > MAX_GRID_BOOTS) {
+            return Err(format!(
+                "grid too large: profiles x seeds x (plans + 1) x (corruption + 1) x 2 configs \
+                 must be at most {MAX_GRID_BOOTS} boots"
+            ));
+        }
+
+        let mut spec = SweepSpec::new();
+        let cell_of: Box<dyn Fn(CellSpec) -> CellSpec> = if chaos {
+            let restart = match self.restart.as_str() {
+                "no" | "none" => RestartPolicy::No,
+                "on-failure" => RestartPolicy::OnFailure,
+                "always" => RestartPolicy::Always,
+                other => {
+                    return Err(format!(
+                        "unknown --restart policy {other:?} (no|on-failure|always)"
+                    ))
+                }
+            };
+            let supervision = (restart != RestartPolicy::No).then_some(Supervision {
+                restart,
+                restart_sec_ms: self.restart_sec_ms,
+                start_limit_burst: self.burst,
+            });
+            let deadline_ms = self
+                .deadline_ms
+                .unwrap_or_else(|| FallbackPolicy::default().deadline.as_millis());
+            Box::new(move |cell| {
+                cell.fault_plans(plans, self.plan_seed)
+                    .corruption_plans(corruption, self.corruption_seed)
+                    .supervision(supervision)
+                    .deadline_ms(deadline_ms)
+                    .conventional_vs_bb()
+            })
+        } else {
+            let boosted = BbConfig::from_feature_list(&self.features)?;
+            let boosted_label = if self.features == "all" || self.features == "full" {
+                "bb".to_string()
+            } else {
+                self.features.clone()
+            };
+            spec = spec
+                .with_metrics(self.metrics)
+                .with_dedup(self.dedup)
+                .with_fork(self.fork);
+            if let Some(ms) = self.deadline_ms {
+                spec = spec.deadline(Duration::from_millis(ms));
+            }
+            Box::new(move |cell| {
+                cell.config("conventional", BbConfig::conventional())
+                    .config(boosted_label.clone(), boosted)
+            })
+        };
+        for profile in profiles {
+            let params = TizenParams {
+                services,
+                ..TizenParams::default()
+            };
+            let cell = CellSpec::tizen(format!("{}-s{services}", profile.name), profile, params)
+                .seeds(seed..seed + self.seeds);
+            spec = spec.cell(cell_of(cell));
+        }
+        Ok(spec)
+    }
 }
 
-fn check_services(services: usize) -> Result<(), String> {
-    if services < 24 {
-        return Err("--services must be at least 24 (the TV backbone alone needs that)".into());
-    }
-    Ok(())
-}
+/// Fewest services a generated grid scenario may have: the TV backbone.
+const MIN_SERVICES: usize = 24;
+
+/// Most services a generated grid scenario may have. Every job builds
+/// its scenario up front (`tv_scenario_with` sizes its unit list from
+/// this), and a 16,000-service scenario already holds ~180 MB while it
+/// boots.
+const MAX_SERVICES: usize = 20_000;
+
+/// Most boots one job's grid may expand to: profiles × seeds ×
+/// (plans + 1) × (corruption + 1) × configs. The seed, plan and
+/// corruption axes, the job list and the result slots are all
+/// allocated in proportion to it.
+const MAX_GRID_BOOTS: u64 = 1 << 20;
+
+/// Smallest f64 above every integer the JSON codec decodes exactly
+/// (2^53).
+const MAX_WIRE_INT: f64 = 9_007_199_254_740_992.0;
 
 /// Resolves a `--profiles` spec (`all` or a comma list, any
 /// dash/underscore/case spelling) to machine profiles.
@@ -709,6 +760,54 @@ mod tests {
             v.get("error").and_then(Json::as_str),
             Some("queue \"full\"")
         );
+    }
+
+    /// Decodes a submit line carrying `job` and expands it into its work
+    /// item, the path every served ticket takes.
+    fn submit(job: &str) -> Result<WorkItem, String> {
+        match parse_request(&format!(r#"{{"id": 1, "method": "submit", "job": {job}}}"#))? {
+            Request::Submit { job, .. } => job.to_work_item(),
+            other => panic!("expected submit, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn hostile_grids_are_refused_before_any_axis_is_allocated() {
+        // 4e9 seeds would collect a 32 GB seed list.
+        let e = submit(r#"{"kind": "sweep", "seeds": 4e9}"#).unwrap_err();
+        assert!(e.starts_with("grid too large"), "{e}");
+        // A seed past 2^53 cannot survive the f64 wire number, and near
+        // 2^64 the seed range end would overflow.
+        let e = submit(r#"{"kind": "sweep", "seed": 1.8e19, "seeds": 2}"#).unwrap_err();
+        assert!(e.contains("below 2^53"), "{e}");
+        // 4e9 fault plans would collect a 64 GB plan axis.
+        let e = submit(r#"{"kind": "chaos", "plans": 4e9}"#).unwrap_err();
+        assert!(e.starts_with("grid too large"), "{e}");
+        // A trillion-service scenario would reserve its unit list up
+        // front.
+        let e = submit(r#"{"kind": "sweep", "services": 1e12}"#).unwrap_err();
+        assert!(e.contains("at most 20000"), "{e}");
+        // The same limits hold for grids built from CLI flags, where
+        // u64 seeds can reach the overflow directly.
+        let mut job = SweepArgs::new(JobKind::Chaos);
+        job.seed = Some(u64::MAX - 1);
+        job.seeds = 2;
+        assert!(job.chaos_spec().unwrap_err().contains("overflows"));
+        job.seed = None;
+        job.plan_seed = u64::MAX;
+        job.plans = 1;
+        assert!(job.chaos_spec().unwrap_err().contains("--plan-seed"));
+        // The largest grids the docs and CI run are still admitted.
+        let mut big = SweepArgs::new(JobKind::Chaos);
+        big.profiles = "all".into();
+        big.plans = 4;
+        big.corruption = 3;
+        assert!(big.to_work_item().is_ok());
+        let mut wide = SweepArgs::new(JobKind::Sweep);
+        wide.profiles = "all".into();
+        wide.seeds = 50;
+        wide.services = Some(20_000);
+        assert!(wide.to_work_item().is_ok());
     }
 
     #[test]

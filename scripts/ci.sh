@@ -102,6 +102,24 @@ run cmp "$chaos_tmp/serve-b.json" "$chaos_tmp/serve-ref.json"
 echo "==> bbsim submit --stats | grep bb-serve-stats-v1"
 ./target/release/bbsim submit --socket "$chaos_tmp/bb.sock" --stats \
     | grep -q '"schema": "bb-serve-stats-v1"'
+
+# Hostile-grid smoke: grids past the admission limits (a 32 GB seed
+# axis, a trillion-service scenario) must come back as bb-serve-v1
+# errors ("server error: ..." from the client) before anything is
+# allocated, and the server must keep answering.
+for hostile in "--seeds 4000000000" "--services 1000000000000"; do
+    echo "==> bbsim submit $hostile (must be refused)"
+    # shellcheck disable=SC2086 # word-split the flag and its value
+    if ./target/release/bbsim submit --socket "$chaos_tmp/bb.sock" $hostile \
+        >/dev/null 2>"$chaos_tmp/hostile.err"; then
+        echo "hostile grid $hostile was admitted"
+        exit 1
+    fi
+    grep -q 'server error: ' "$chaos_tmp/hostile.err"
+done
+echo "==> bbsim submit --stats after hostile grids"
+./target/release/bbsim submit --socket "$chaos_tmp/bb.sock" --stats \
+    | grep -q '"schema": "bb-serve-stats-v1"'
 run ./target/release/bbsim submit --socket "$chaos_tmp/bb.sock" --shutdown
 wait "$serve_pid"
 run cargo test -q --test serve_service

@@ -1,15 +1,18 @@
 //! Fleet acceptance tests: the aggregated sweep output must be
-//! byte-identical for any worker count, and one poisoned job must never
-//! take the sweep down with it.
+//! byte-identical for any worker count and to the committed golden
+//! documents, and one poisoned job must never take the sweep down with
+//! it.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use booting_booster::bb::BbConfig;
 use booting_booster::fleet::{
-    parse_json, run_sweep, CellSpec, FleetCache, PoolConfig, ScenarioSource, SweepSpec,
+    parse_json, run_chaos, run_sweep, CellSpec, ChaosSpec, FleetCache, PoolConfig, ScenarioSource,
+    SweepSpec,
 };
 use booting_booster::init::UnitName;
+use booting_booster::serve::{JobKind, SweepArgs};
 use booting_booster::workloads::{profiles, tv_scenario_with, TizenParams};
 
 fn small_params(seed: u64) -> TizenParams {
@@ -96,6 +99,105 @@ fn span_metrics_json_is_byte_identical_across_worker_counts() {
             json_serial,
             "metrics JSON must be byte-identical with {workers} workers"
         );
+    }
+}
+
+/// The job `bbsim <kind> FLAGS` describes.
+fn cli_job(kind: JobKind, flags: &[&str]) -> SweepArgs {
+    let mut job = SweepArgs::new(kind);
+    let mut it = flags.iter().map(|s| s.to_string());
+    while let Some(flag) = it.next() {
+        assert_eq!(job.parse_flag(&flag, &mut || it.next()), Ok(true), "{flag}");
+    }
+    job
+}
+
+fn golden(name: &str) -> String {
+    let path = format!("{}/tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
+
+/// `bbsim sweep --services 24 --seeds 3 --fork-from kernel-handoff
+/// --metrics`: the report and metrics documents are pinned byte for
+/// byte, at any worker count.
+#[test]
+fn sweep_documents_match_the_golden_bytes() {
+    let mut job = cli_job(
+        JobKind::Sweep,
+        &[
+            "--services",
+            "24",
+            "--seeds",
+            "3",
+            "--fork-from",
+            "kernel-handoff",
+        ],
+    );
+    job.metrics = true;
+    let spec = job.sweep_spec().expect("golden sweep grid");
+    for workers in [1, 3] {
+        let outcome = run_sweep(
+            &spec,
+            &PoolConfig::with_workers(workers),
+            &FleetCache::fresh(),
+        );
+        assert_eq!(
+            outcome.report.to_json(),
+            golden("fleet_sweep.json"),
+            "{workers} workers"
+        );
+        let metrics = outcome.report.metrics.expect("metrics were collected");
+        assert_eq!(
+            metrics.to_json(),
+            golden("fleet_metrics.json"),
+            "{workers} workers"
+        );
+    }
+}
+
+/// `bbsim chaos --services 24 --seeds 2 --plans 2 --corruption 2`, plus
+/// an unsupervised cell under a short supervisor deadline: the report
+/// is pinned byte for byte and carries every kind of notable event.
+#[test]
+fn chaos_report_matches_the_golden_bytes() {
+    let axes = [
+        "--services",
+        "24",
+        "--seeds",
+        "2",
+        "--plans",
+        "2",
+        "--corruption",
+        "2",
+    ];
+    let mut spec: ChaosSpec = cli_job(JobKind::Chaos, &axes)
+        .chaos_spec()
+        .expect("golden chaos grid");
+    let mut unsupervised = axes.to_vec();
+    unsupervised.extend([
+        "--profiles",
+        "galaxy-s6",
+        "--restart",
+        "no",
+        "--deadline-ms",
+        "2000",
+    ]);
+    spec.cells.extend(
+        cli_job(JobKind::Chaos, &unsupervised)
+            .chaos_spec()
+            .expect("unsupervised chaos grid")
+            .cells,
+    );
+    let want = golden("fleet_chaos.json");
+    for reason in ["degraded boot", "recovered after", "artifact rejected"] {
+        assert!(
+            want.contains(reason),
+            "golden chaos report lacks {reason:?}"
+        );
+    }
+    for workers in [1, 3] {
+        let outcome = run_chaos(&spec, &PoolConfig::with_workers(workers));
+        assert_eq!(outcome.report.to_json(), want, "{workers} workers");
     }
 }
 
