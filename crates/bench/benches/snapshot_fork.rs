@@ -6,8 +6,9 @@
 //! kernel phase (restoring the snapshot replaces the kernel simulation,
 //! and the checkpoint's stored plan replaces planning), so it should
 //! always beat the full boot. Besides the criterion timings this bench
-//! writes `BENCH_snapshot.json` at the repo root — the committed
-//! baseline the CI gate and future optimizations diff against.
+//! writes `target/BENCH_snapshot.json`; the committed baseline future
+//! optimizations diff against is `BENCH_snapshot.json` at the repo root
+//! (re-bless by copying it there).
 //! Iteration count: `BB_BENCH_ITERS` (default 200).
 //!
 //! `cargo bench --bench snapshot_fork`
@@ -121,11 +122,12 @@ fn bench_snapshot_fork(c: &mut Criterion) {
     out.push_str(&format!("  \"forked_boots_per_sec\": {forked:.3},\n"));
     out.push_str(&format!("  \"speedup\": {:.3}\n", forked / full));
     out.push_str("}\n");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_snapshot.json");
-    std::fs::write(path, &out).expect("write BENCH_snapshot.json");
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../target");
+    std::fs::create_dir_all(dir).expect("create target/");
+    std::fs::write(format!("{dir}/BENCH_snapshot.json"), &out).expect("write BENCH_snapshot.json");
     println!(
         "[baseline] forked {forked:.1} boots/s vs full {full:.1} boots/s \
-         ({:.2}x) -> BENCH_snapshot.json",
+         ({:.2}x) -> target/BENCH_snapshot.json",
         forked / full
     );
 }

@@ -5,13 +5,14 @@
 //! unit set, the service workload bodies, and the boot-completion
 //! definition. The single entry point is the [`BootRequest`] builder:
 //! one plan resolver lowers the scenario to a
-//! [`crate::pipeline::BootPlanIr`], lets the enabled [`PlanPass`]es
-//! transform it (recording a [`PassDelta`] each) and moves the result
-//! into a shareable plan — or takes that plan from a [`PlanCache`].
-//! One prefix executor and one suffix executor then run it, straight
-//! through or split around a [`Checkpoint`]. Callers that boot in a
-//! loop attach a [`MachineBuilder`] via [`BootRequest::machine_builder`]
-//! so each boot reuses the previous machine's allocations.
+//! [`crate::pipeline::BootPlanIr`] and lets the enabled [`PlanPass`]es
+//! transform it (recording a [`PassDelta`] each) — or takes that plan
+//! from a [`PlanCache`]. The plan goes behind an `Arc` as is, and one
+//! prefix executor and one suffix executor run it, straight through or
+//! split around a [`Checkpoint`] that keeps the same `Arc`. Callers
+//! that boot in a loop attach a [`MachineBuilder`] via
+//! [`BootRequest::machine_builder`] so each boot reuses the previous
+//! machine's allocations.
 //!
 //! [`PlanPass`]: crate::pipeline::PlanPass
 //! [`PassDelta`]: crate::pipeline::PassDelta
@@ -29,9 +30,7 @@ use std::sync::Arc;
 
 use crate::config::BbConfig;
 use crate::error::Error;
-use crate::pipeline::{
-    execute_prefix, execute_suffix, OwnedPlan, PassDelta, Pipeline, PrefixView, SuffixView,
-};
+use crate::pipeline::{execute_prefix, execute_suffix, CompiledPlan, PassDelta, Pipeline};
 use crate::plan_cache::PlanCache;
 use crate::service_engine::{ParseCostParams, PreParser};
 
@@ -49,12 +48,14 @@ pub struct Scenario {
     pub storage: DeviceProfile,
     /// Kernel plan (defer flags are overwritten per config).
     pub kernel: KernelPlan,
-    /// Loadable kernel components.
-    pub modules: ModuleCatalog,
+    /// Loadable kernel components, shared with every plan compiled
+    /// from this scenario.
+    pub modules: Arc<ModuleCatalog>,
     /// The unit set.
     pub units: Vec<Unit>,
-    /// Service workload bodies keyed by `ExecStart=`.
-    pub workloads: WorkloadMap,
+    /// Service workload bodies keyed by `ExecStart=`, shared with every
+    /// plan compiled from this scenario.
+    pub workloads: Arc<WorkloadMap>,
     /// Boot target to expand.
     pub target: String,
     /// Units whose readiness defines boot completion.
@@ -146,15 +147,14 @@ pub struct Checkpoint {
     bytes: Vec<u8>,
     kernel: KernelReport,
     device: DeviceId,
-    cfg: BbConfig,
-    config_hash: u64,
-    /// The checkpoint request's full boot plan, kept so a resume under
-    /// the same configuration skips re-planning (see
-    /// [`BootRequest::resume`]). Behind an `Arc` so a checkpoint taken
-    /// through a [`PlanCache`] *shares* the cached plan instead of
-    /// cloning the graph and task tables, and so cloning a checkpoint
-    /// to fan it out across workers stays cheap.
-    plan: Arc<OwnedPlan>,
+    /// The checkpoint request's compiled plan: the source of
+    /// [`config`](Self::config) and [`config_hash`](Self::config_hash),
+    /// and kept so a resume under the same configuration skips
+    /// re-planning (see [`BootRequest::resume`]). Behind an `Arc` so a
+    /// checkpoint taken through a [`PlanCache`] *shares* the cached plan,
+    /// and so cloning a checkpoint to fan it out across workers stays
+    /// cheap.
+    plan: Arc<CompiledPlan>,
 }
 
 impl Checkpoint {
@@ -166,7 +166,7 @@ impl Checkpoint {
     /// The configuration the prefix was simulated under. A resume may
     /// use any configuration with the same [`BbConfig::prefix_key`].
     pub fn config(&self) -> BbConfig {
-        self.cfg
+        self.plan.0.cfg
     }
 
     /// The serialized machine snapshot (see [`bb_sim::snapshot`] for
@@ -178,7 +178,7 @@ impl Checkpoint {
     /// FNV-1a hash of the machine configuration the snapshot encodes;
     /// [`BootRequest::resume`] rejects scenarios that hash differently.
     pub fn config_hash(&self) -> u64 {
-        self.config_hash
+        snapshot::config_hash(&self.plan.0.machine)
     }
 
     /// Kernel phase timings measured while producing the prefix.
@@ -387,7 +387,7 @@ impl<'s> BootRequest<'s> {
         let plan = self.resolve()?;
         let no_faults = FaultPlan::none();
         let (machine, kernel, device) = execute_prefix(
-            PrefixView::of_owned(&plan, self.scenario),
+            &plan.0,
             self.faults.unwrap_or(&no_faults),
             false,
             self.builder.as_deref_mut(),
@@ -400,12 +400,10 @@ impl<'s> BootRequest<'s> {
         }
         Ok(Checkpoint {
             phase,
-            config_hash: plan.machine_hash(),
             plan,
             bytes,
             kernel,
             device,
-            cfg: self.cfg,
         })
     }
 
@@ -421,11 +419,13 @@ impl<'s> BootRequest<'s> {
     /// service-phase variants. A [`tweak`](Self::tweak) is applied to
     /// the resumed plan as usual.
     ///
-    /// Resuming the checkpoint's own configuration on its own scenario
-    /// (no tweak) additionally reuses the checkpoint's stored boot
-    /// plan instead of re-planning — planning is deterministic, so the
-    /// timeline is unchanged but the host-side cost drops; this is why
-    /// forked boots beat full boots in `BENCH_snapshot.json`.
+    /// Resuming the checkpoint's own configuration (no tweak) on a
+    /// scenario with the same name, machine shape, unit set and workload
+    /// bodies as the checkpoint's additionally reuses the checkpoint's
+    /// stored boot plan instead of re-planning — planning is
+    /// deterministic, so the timeline is unchanged but the host-side
+    /// cost drops; this is why forked boots beat full boots in
+    /// `BENCH_snapshot.json`.
     ///
     /// # Errors
     ///
@@ -455,23 +455,23 @@ impl<'s> BootRequest<'s> {
                     .into(),
             ));
         }
-        if self.cfg.prefix_key() != checkpoint.cfg.prefix_key() {
+        if self.cfg.prefix_key() != checkpoint.config().prefix_key() {
             return Err(Error::Checkpoint(format!(
                 "prefix key mismatch: checkpoint was taken under {:?}, resume requested {:?}",
-                checkpoint.cfg.prefix_key(),
+                checkpoint.config().prefix_key(),
                 self.cfg.prefix_key()
             )));
         }
         // The one shortcut: resuming the checkpoint's own configuration
-        // on its own scenario (with no tweak) reuses the plan the
-        // checkpoint already carries; anything else goes through the
-        // resolver like every other boot.
-        let plan = if self.tweak.is_none() && checkpoint.plan.covers(self.scenario, &self.cfg) {
+        // on a scenario with its plan's content (with no tweak) reuses
+        // the plan the checkpoint already carries; anything else goes
+        // through the resolver like every other boot.
+        let plan = if self.tweak.is_none() && checkpoint.plan.0.covers(self.scenario, &self.cfg) {
             Arc::clone(&checkpoint.plan)
         } else {
             self.resolve()?
         };
-        if plan.machine_hash() != checkpoint.config_hash {
+        if snapshot::config_hash(&plan.0.machine) != checkpoint.config_hash() {
             return Err(Error::Checkpoint(
                 "machine config mismatch: the scenario does not match the checkpoint's".into(),
             ));
@@ -481,8 +481,8 @@ impl<'s> BootRequest<'s> {
             None => snapshot::restore(&checkpoint.bytes)?,
         };
         let (report, machine) = execute_suffix(
-            SuffixView::of_owned(&plan, self.scenario),
-            plan.deltas().to_vec(),
+            &plan.0,
+            plan.1.clone(),
             machine,
             checkpoint.kernel.clone(),
             checkpoint.device,
@@ -539,18 +539,12 @@ impl<'s> BootRequest<'s> {
         let plan = self.resolve()?;
         let no_faults = FaultPlan::none();
         let (machine, kernel, device) = execute_prefix(
-            PrefixView::of_owned(&plan, self.scenario),
+            &plan.0,
             self.faults.unwrap_or(&no_faults),
             self.telemetry,
             self.builder,
         );
-        let (report, machine) = execute_suffix(
-            SuffixView::of_owned(&plan, self.scenario),
-            plan.deltas().to_vec(),
-            machine,
-            kernel,
-            device,
-        );
+        let (report, machine) = execute_suffix(&plan.0, plan.1.clone(), machine, kernel, device);
         Ok(Boot {
             report,
             machine,
@@ -561,11 +555,11 @@ impl<'s> BootRequest<'s> {
     /// The one plan resolver behind [`run`](Self::run),
     /// [`checkpoint_at`](Self::checkpoint_at) and
     /// [`resume`](Self::resume). A cache hit shares the compiled plan
-    /// outright; a miss runs [`Pipeline::plan`], applies the tweak, and
-    /// moves the IR into a fresh [`OwnedPlan`]. The plan is published
-    /// only when the request is untweaked and has a cache attached, so
-    /// the next boot of this (scenario, config) skips planning.
-    fn resolve(&mut self) -> Result<Arc<OwnedPlan>, Error> {
+    /// outright; a miss runs [`Pipeline::plan`] and applies the tweak.
+    /// The plan is published only when the request is untweaked and has
+    /// a cache attached, so the next boot of this (scenario, config)
+    /// skips planning.
+    fn resolve(&mut self) -> Result<Arc<CompiledPlan>, Error> {
         let tweak = self.tweak.take();
         let cache = self.cache.filter(|_| tweak.is_none());
         if let Some(plan) = cache.and_then(|(cache, key)| cache.lookup(key, &self.cfg)) {
@@ -575,7 +569,7 @@ impl<'s> BootRequest<'s> {
         if let Some(tweak) = tweak {
             tweak(&ir.graph, &ir.transaction, &mut ir.overrides);
         }
-        let plan = Arc::new(OwnedPlan::new(self.scenario, ir, deltas));
+        let plan = Arc::new((ir, deltas));
         if let Some((cache, key)) = cache {
             cache.insert(key, &self.cfg, Arc::clone(&plan));
         }
@@ -709,9 +703,9 @@ pub(crate) mod tests {
                 defer_initcalls: false,
                 defer_journal: false,
             },
-            modules: synthetic_catalog(60),
+            modules: Arc::new(synthetic_catalog(60)),
             units,
-            workloads,
+            workloads: Arc::new(workloads),
             target: "tv-boot.target".into(),
             completion: vec![UnitName::new("fasttv.service")],
             manager_costs: ManagerCosts::default(),

@@ -33,35 +33,55 @@ pub struct BbConfig {
     pub bb_group: bool,
 }
 
+/// Every feature as (label, CLI/wire name), in [`BbConfig::bits`] order:
+/// the one table the feature lists, the parser and the ablation sets
+/// are derived from. Labels name the struct fields.
+const FEATURES: [(&str, &str); 7] = [
+    ("rcu_booster", "rcu-booster"),
+    ("defer_memory", "defer-memory"),
+    ("ondemand_modularizer", "modularizer"),
+    ("defer_journal", "defer-journal"),
+    ("deferred_executor", "deferred-executor"),
+    ("preparser", "preparser"),
+    ("bb_group", "bb-group"),
+];
+
+/// [`BbConfig::bits`] of the full configuration.
+const ALL_BITS: u8 = (1 << FEATURES.len()) - 1;
+
 impl BbConfig {
     /// Everything off: the conventional boot.
     pub const fn conventional() -> Self {
-        BbConfig {
-            rcu_booster: false,
-            defer_memory: false,
-            ondemand_modularizer: false,
-            defer_journal: false,
-            deferred_executor: false,
-            preparser: false,
-            bb_group: false,
-        }
+        Self::from_bits(0)
     }
 
     /// Everything on: the full Booting Booster.
     pub const fn full() -> Self {
+        Self::from_bits(ALL_BITS)
+    }
+
+    /// The inverse of [`BbConfig::bits`].
+    const fn from_bits(bits: u8) -> Self {
         BbConfig {
-            rcu_booster: true,
-            defer_memory: true,
-            ondemand_modularizer: true,
-            defer_journal: true,
-            deferred_executor: true,
-            preparser: true,
-            bb_group: true,
+            rcu_booster: bits & 1 != 0,
+            defer_memory: bits & 1 << 1 != 0,
+            ondemand_modularizer: bits & 1 << 2 != 0,
+            defer_journal: bits & 1 << 3 != 0,
+            deferred_executor: bits & 1 << 4 != 0,
+            preparser: bits & 1 << 5 != 0,
+            bb_group: bits & 1 << 6 != 0,
         }
     }
 
     /// Number of active features (for ablation reports).
     pub fn active_features(&self) -> usize {
+        self.bits().count_ones() as usize
+    }
+
+    /// The full configuration packed into one byte, one bit per
+    /// feature — the compact hash [`crate::PlanCache`] and the fleet's
+    /// dedup keys use. Two configs are equal iff their bits are equal.
+    pub fn bits(&self) -> u8 {
         [
             self.rcu_booster,
             self.defer_memory,
@@ -72,21 +92,8 @@ impl BbConfig {
             self.bb_group,
         ]
         .iter()
-        .filter(|&&b| b)
-        .count()
-    }
-
-    /// The full configuration packed into one byte, one bit per
-    /// feature — the compact hash [`crate::PlanCache`] and the fleet's
-    /// dedup keys use. Two configs are equal iff their bits are equal.
-    pub fn bits(&self) -> u8 {
-        (self.rcu_booster as u8)
-            | (self.defer_memory as u8) << 1
-            | (self.ondemand_modularizer as u8) << 2
-            | (self.defer_journal as u8) << 3
-            | (self.deferred_executor as u8) << 4
-            | (self.preparser as u8) << 5
-            | (self.bb_group as u8) << 6
+        .enumerate()
+        .fold(0, |bits, (i, &on)| bits | (on as u8) << i)
     }
 
     /// The features that shape the boot *prefix* — everything simulated
@@ -111,15 +118,15 @@ impl BbConfig {
     /// The CLI/wire feature names, in `bits()` order. `"all"`, `"full"`,
     /// `"none"`, `"conventional"`, and comma-separated subsets of these
     /// are what [`BbConfig::from_feature_list`] accepts.
-    pub const FEATURE_NAMES: [&'static str; 7] = [
-        "rcu-booster",
-        "defer-memory",
-        "modularizer",
-        "defer-journal",
-        "deferred-executor",
-        "preparser",
-        "bb-group",
-    ];
+    pub const FEATURE_NAMES: [&'static str; 7] = {
+        let mut names = [""; 7];
+        let mut i = 0;
+        while i < names.len() {
+            names[i] = FEATURES[i].1;
+            i += 1;
+        }
+        names
+    };
 
     /// Parses a feature-list string — the `--features` CLI value and the
     /// fleet wire format's `"features"` field: `"all"`/`"full"` for the
@@ -131,26 +138,19 @@ impl BbConfig {
             "none" | "conventional" => return Ok(BbConfig::conventional()),
             _ => {}
         }
-        let mut cfg = BbConfig::conventional();
+        let mut bits = 0;
         for feature in spec.split(',') {
-            match feature.trim() {
-                "rcu-booster" => cfg.rcu_booster = true,
-                "defer-memory" => cfg.defer_memory = true,
-                "modularizer" => cfg.ondemand_modularizer = true,
-                "defer-journal" => cfg.defer_journal = true,
-                "deferred-executor" => cfg.deferred_executor = true,
-                "preparser" => cfg.preparser = true,
-                "bb-group" => cfg.bb_group = true,
-                other => {
-                    return Err(format!(
-                        "unknown feature {other:?} (expected all, none, or a comma-separated \
-                         subset of {})",
-                        Self::FEATURE_NAMES.join(",")
-                    ))
-                }
-            }
+            let feature = feature.trim();
+            let Some(i) = Self::FEATURE_NAMES.iter().position(|&n| n == feature) else {
+                return Err(format!(
+                    "unknown feature {feature:?} (expected all, none, or a comma-separated \
+                     subset of {})",
+                    Self::FEATURE_NAMES.join(",")
+                ));
+            };
+            bits |= 1 << i;
         }
-        Ok(cfg)
+        Ok(BbConfig::from_bits(bits))
     }
 
     /// Renders this configuration as a canonical feature-list string
@@ -158,134 +158,41 @@ impl BbConfig {
     /// `"none"`, or the active subset of [`BbConfig::FEATURE_NAMES`] in
     /// `bits()` order.
     pub fn feature_list(&self) -> String {
-        if *self == BbConfig::full() {
-            return "all".to_owned();
+        match self.bits() {
+            ALL_BITS => "all".to_owned(),
+            0 => "none".to_owned(),
+            bits => {
+                let active: Vec<&str> = Self::FEATURE_NAMES
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, _)| bits & (1 << i) != 0)
+                    .map(|(_, name)| *name)
+                    .collect();
+                active.join(",")
+            }
         }
-        if *self == BbConfig::conventional() {
-            return "none".to_owned();
-        }
-        let bits = self.bits();
-        let active: Vec<&str> = Self::FEATURE_NAMES
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| bits & (1 << i) != 0)
-            .map(|(_, name)| *name)
-            .collect();
-        active.join(",")
     }
 
     /// All single-feature configurations, as `(feature name, config)` —
     /// the conventional boot with exactly one mechanism enabled.
     pub fn single_feature_configs() -> Vec<(&'static str, BbConfig)> {
-        let base = BbConfig::conventional();
-        vec![
-            (
-                "rcu_booster",
-                BbConfig {
-                    rcu_booster: true,
-                    ..base
-                },
-            ),
-            (
-                "defer_memory",
-                BbConfig {
-                    defer_memory: true,
-                    ..base
-                },
-            ),
-            (
-                "ondemand_modularizer",
-                BbConfig {
-                    ondemand_modularizer: true,
-                    ..base
-                },
-            ),
-            (
-                "defer_journal",
-                BbConfig {
-                    defer_journal: true,
-                    ..base
-                },
-            ),
-            (
-                "deferred_executor",
-                BbConfig {
-                    deferred_executor: true,
-                    ..base
-                },
-            ),
-            (
-                "preparser",
-                BbConfig {
-                    preparser: true,
-                    ..base
-                },
-            ),
-            (
-                "bb_group",
-                BbConfig {
-                    bb_group: true,
-                    ..base
-                },
-            ),
-        ]
+        Self::ablation(|bit| bit)
     }
 
     /// All leave-one-out configurations, as `(dropped feature, config)` —
     /// the full BB with exactly one mechanism disabled.
     pub fn leave_one_out_configs() -> Vec<(&'static str, BbConfig)> {
-        let full = BbConfig::full();
-        vec![
-            (
-                "rcu_booster",
-                BbConfig {
-                    rcu_booster: false,
-                    ..full
-                },
-            ),
-            (
-                "defer_memory",
-                BbConfig {
-                    defer_memory: false,
-                    ..full
-                },
-            ),
-            (
-                "ondemand_modularizer",
-                BbConfig {
-                    ondemand_modularizer: false,
-                    ..full
-                },
-            ),
-            (
-                "defer_journal",
-                BbConfig {
-                    defer_journal: false,
-                    ..full
-                },
-            ),
-            (
-                "deferred_executor",
-                BbConfig {
-                    deferred_executor: false,
-                    ..full
-                },
-            ),
-            (
-                "preparser",
-                BbConfig {
-                    preparser: false,
-                    ..full
-                },
-            ),
-            (
-                "bb_group",
-                BbConfig {
-                    bb_group: false,
-                    ..full
-                },
-            ),
-        ]
+        Self::ablation(|bit| ALL_BITS & !bit)
+    }
+
+    /// One `(label, config)` per feature, the config built by `bits`
+    /// from that feature's bit.
+    fn ablation(bits: impl Fn(u8) -> u8) -> Vec<(&'static str, BbConfig)> {
+        FEATURES
+            .iter()
+            .enumerate()
+            .map(|(i, (label, _))| (*label, BbConfig::from_bits(bits(1 << i))))
+            .collect()
     }
 }
 

@@ -11,10 +11,11 @@
 //!   (priorities + dispatch order), Pre-parser, Service Analyzer.
 //! * [`pipeline`] — the spine: every mechanism as a [`pipeline::PlanPass`]
 //!   over one [`pipeline::BootPlanIr`], with a [`pipeline::PassDelta`]
-//!   provenance record per pass.
+//!   provenance record per pass. The IR is the crate's only plan type:
+//!   the executors read it, and caches and checkpoints share it.
 //! * [`plan_cache`] — sweep-wide sharing of compiled plans: a
-//!   [`plan_cache::PlanCache`] hands the same `Arc`'d plan to every
-//!   run/checkpoint/resume of a (scenario, config) pair.
+//!   [`plan_cache::PlanCache`] hands the same `Arc`'d [`BootPlanIr`]
+//!   to every run/checkpoint/resume of a (scenario, config) pair.
 //! * [`booster`] — the single-entry facade: boot a
 //!   [`booster::Scenario`] through a [`booster::BootRequest`] and get a
 //!   [`booster::Boot`] (report + machine).

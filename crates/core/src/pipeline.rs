@@ -14,19 +14,23 @@
 //!
 //! Pass order is fixed and significant only where passes share IR
 //! fields (the two `bb_group` passes both derive the group; the
-//! isolator runs first). Passes only transform the IR; machine-visible
-//! execution is one prefix executor (through the kernel→init handoff)
-//! and one suffix executor (the init scheme onward). [`execute`]
-//! composes the two over a fresh IR; [`crate::BootRequest`] composes
-//! them over a resolved plan, or splits them around a checkpoint.
+//! isolator runs first). The IR is the crate's one plan type: passes
+//! rewrite it, a [`crate::PlanCache`] and a [`crate::Checkpoint`] share
+//! it behind an `Arc`, and machine-visible execution reads it directly
+//! through one prefix executor (through the kernel→init handoff) and
+//! one suffix executor (the init scheme onward). [`execute`] composes
+//! the two; [`crate::BootRequest`] composes them over a resolved plan,
+//! or splits them around a checkpoint.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use bb_init::{
     run_boot, BootPlan, EngineConfig, EngineMode, LoadModel, ManagerCosts, ManagerTask,
     PlanOverrides, Transaction, UnitGraph, UnitName, WorkloadMap,
 };
 use bb_kernel::{execute_kernel_boot, Criticality, KernelPlan, ModuleCatalog};
+use bb_sim::snapshot::config_hash;
 use bb_sim::{AccessPattern, DeviceProfile, Machine, MachineConfig, Op, SimDuration};
 
 use crate::booster::{FullBootReport, Scenario};
@@ -40,16 +44,20 @@ use crate::service_engine::{self, ParseCostParams, PreParser};
 // The IR
 // ---------------------------------------------------------------------
 
-/// Everything one boot needs, in one place, before any machine exists.
+/// The boot plan: everything one boot needs, in one place, before any
+/// machine exists.
 ///
 /// Built by [`Pipeline::plan`] in the *conventional* shape (no BB
-/// mechanism applied); passes then transform it. Large read-only
-/// inputs (module catalog, workload bodies) are borrowed from the
-/// [`Scenario`] so a fleet sweep does not clone them per boot.
+/// mechanism applied); passes then rewrite it, and the prefix and
+/// suffix executors read it directly. It is also the compiled plan a
+/// [`crate::PlanCache`] and a [`crate::Checkpoint`] share behind an
+/// `Arc`. The large read-only inputs (module catalog, workload bodies)
+/// are the [`Scenario`]'s own `Arc`s, so compiling a plan never clones
+/// them.
 #[derive(Debug)]
-pub struct BootPlanIr<'s> {
+pub struct BootPlanIr {
     /// Scenario name, for reports.
-    pub name: &'s str,
+    pub name: String,
     /// The configuration this plan was specialized for.
     pub cfg: BbConfig,
     /// Machine shape (cores, speed, quantum, RCU parameters).
@@ -59,11 +67,11 @@ pub struct BootPlanIr<'s> {
     /// Kernel plan; passes flip its defer knobs.
     pub kernel: KernelPlan,
     /// Loadable kernel components (read-only input).
-    pub modules: &'s ModuleCatalog,
+    pub modules: Arc<ModuleCatalog>,
     /// How the service phase handles kernel modules.
     pub module_strategy: ModuleStrategy,
     /// Service workload bodies keyed by `ExecStart=` (read-only input).
-    pub workloads: &'s WorkloadMap,
+    pub workloads: Arc<WorkloadMap>,
     /// The unit graph.
     pub graph: UnitGraph,
     /// The expanded boot transaction.
@@ -76,10 +84,10 @@ pub struct BootPlanIr<'s> {
     pub init_tasks: Vec<ManagerTask>,
     /// Service-phase housekeeping task table.
     pub service_phase_tasks: Vec<ManagerTask>,
-    /// Dispatch order of the transaction, recomputed by
-    /// [`Pipeline::plan`] after the passes run so every boot of this
-    /// plan skips the per-boot Kahn/SCC walk (plan tweaks only mutate
-    /// [`PlanOverrides`], which the base order does not depend on).
+    /// Dispatch order of the transaction, computed once when the plan
+    /// is built so every boot of it skips the per-boot Kahn/SCC walk
+    /// (passes and plan tweaks only mutate [`PlanOverrides`], which the
+    /// base order does not depend on).
     pub execution_order: Vec<usize>,
     /// Unit-configuration load model.
     pub load: LoadModel,
@@ -93,13 +101,17 @@ pub struct BootPlanIr<'s> {
     pub boost_rcu: bool,
 }
 
-impl<'s> BootPlanIr<'s> {
+/// A compiled plan and the pass deltas that produced it: what
+/// [`crate::PlanCache`] and [`crate::Checkpoint`] share behind an `Arc`.
+pub(crate) type CompiledPlan = (BootPlanIr, Vec<PassDelta>);
+
+impl BootPlanIr {
     /// Builds the conventional-shape IR for `scenario`.
     ///
     /// `pre` supplies pre-built [`PreParser`] measurements (the
     /// sweep-amortized path); when `None` they are measured here.
     pub fn from_scenario(
-        scenario: &'s Scenario,
+        scenario: &Scenario,
         cfg: &BbConfig,
         pre: Option<&PreParser>,
     ) -> Result<Self, Error> {
@@ -117,16 +129,16 @@ impl<'s> BootPlanIr<'s> {
         init_tasks.extend(bootup_engine::init_tasks(&BbConfig::conventional()));
         let execution_order = transaction.execution_order(&graph);
         Ok(BootPlanIr {
-            name: &scenario.name,
+            name: scenario.name.clone(),
             cfg: *cfg,
             machine: scenario.machine,
             storage: scenario.storage,
             kernel,
-            modules: &scenario.modules,
+            modules: Arc::clone(&scenario.modules),
             module_strategy: ModuleStrategy::ExternalKo {
                 workers: core_engine::MODULE_LOADER_WORKERS,
             },
-            workloads: &scenario.workloads,
+            workloads: Arc::clone(&scenario.workloads),
             graph,
             transaction,
             completion: scenario.completion.clone(),
@@ -140,6 +152,22 @@ impl<'s> BootPlanIr<'s> {
             pre,
             boost_rcu: false,
         })
+    }
+
+    /// Whether booting `scenario` under `cfg` would compile to this
+    /// plan, so a resume may reuse it instead of re-planning. Besides
+    /// the config, the name and the machine shape, it compares the
+    /// content that feeds the graph, the overrides and the pass deltas:
+    /// the unit set and the workload bodies (pointer first, so a shared
+    /// `Arc` costs nothing). Any mismatch sends the caller to the plan
+    /// resolver — reuse is an optimization, never a semantic fork.
+    pub(crate) fn covers(&self, scenario: &Scenario, cfg: &BbConfig) -> bool {
+        self.cfg == *cfg
+            && self.name == scenario.name
+            && config_hash(&self.machine) == config_hash(&scenario.machine)
+            && (Arc::ptr_eq(&self.workloads, &scenario.workloads)
+                || self.workloads == scenario.workloads)
+            && self.graph.units() == scenario.units
     }
 
     fn cores(&self) -> u64 {
@@ -285,7 +313,7 @@ pub trait PlanPass {
     fn enable(&self, cfg: &mut BbConfig);
     /// Transforms the plan, returning what changed. Must be idempotent:
     /// applying twice yields the same plan as applying once.
-    fn apply(&self, ir: &mut BootPlanIr<'_>) -> PassDelta;
+    fn apply(&self, ir: &mut BootPlanIr) -> PassDelta;
 }
 
 /// Core Engine: initialize only required memory eagerly, the rest in a
@@ -302,7 +330,7 @@ impl PlanPass for DeferMemoryInit {
     fn enable(&self, cfg: &mut BbConfig) {
         cfg.defer_memory = true;
     }
-    fn apply(&self, ir: &mut BootPlanIr<'_>) -> PassDelta {
+    fn apply(&self, ir: &mut BootPlanIr) -> PassDelta {
         ir.kernel.defer_memory = true;
         let mut d = PassDelta::new(self.name());
         // Serial kernel-phase work removed exactly.
@@ -331,7 +359,7 @@ impl PlanPass for OnDemandModularizer {
     fn enable(&self, cfg: &mut BbConfig) {
         cfg.ondemand_modularizer = true;
     }
-    fn apply(&self, ir: &mut BootPlanIr<'_>) -> PassDelta {
+    fn apply(&self, ir: &mut BootPlanIr) -> PassDelta {
         ir.kernel.defer_initcalls = true;
         ir.module_strategy = ModuleStrategy::DeferredBuiltin;
         let mut d = PassDelta::new(self.name());
@@ -382,7 +410,7 @@ impl PlanPass for RcuBoosterInstall {
     fn enable(&self, cfg: &mut BbConfig) {
         cfg.rcu_booster = true;
     }
-    fn apply(&self, ir: &mut BootPlanIr<'_>) -> PassDelta {
+    fn apply(&self, ir: &mut BootPlanIr) -> PassDelta {
         ir.boost_rcu = true;
         let mut d = PassDelta::new(self.name());
         let syncs = ir.boot_rcu_syncs();
@@ -426,7 +454,7 @@ impl PlanPass for DeferredExecutor {
         cfg.deferred_executor = true;
         cfg.defer_journal = true;
     }
-    fn apply(&self, ir: &mut BootPlanIr<'_>) -> PassDelta {
+    fn apply(&self, ir: &mut BootPlanIr) -> PassDelta {
         let mut d = PassDelta::new(self.name());
         let mut saving = SimDuration::ZERO;
         if ir.cfg.deferred_executor {
@@ -475,7 +503,7 @@ impl PlanPass for PreParserLoad {
     fn enable(&self, cfg: &mut BbConfig) {
         cfg.preparser = true;
     }
-    fn apply(&self, ir: &mut BootPlanIr<'_>) -> PassDelta {
+    fn apply(&self, ir: &mut BootPlanIr) -> PassDelta {
         let conv = ir.pre.load_model(&ir.parse_params, false);
         let cached = ir.pre.load_model(&ir.parse_params, true);
         ir.load = cached;
@@ -504,7 +532,7 @@ impl PlanPass for GroupIsolator {
     fn enable(&self, cfg: &mut BbConfig) {
         cfg.bb_group = true;
     }
-    fn apply(&self, ir: &mut BootPlanIr<'_>) -> PassDelta {
+    fn apply(&self, ir: &mut BootPlanIr) -> PassDelta {
         let group = service_engine::identify_bb_group(&ir.graph, &ir.completion);
         let mut d = PassDelta::new(self.name());
         d.units_touched = group.len();
@@ -553,7 +581,7 @@ impl PlanPass for BbManagerPriority {
     fn enable(&self, cfg: &mut BbConfig) {
         cfg.bb_group = true;
     }
-    fn apply(&self, ir: &mut BootPlanIr<'_>) -> PassDelta {
+    fn apply(&self, ir: &mut BootPlanIr) -> PassDelta {
         let group = service_engine::identify_bb_group(&ir.graph, &ir.completion);
         // Passes never reshape the transaction, so the order cached at
         // IR construction is current. Dispatch-queue relief: group
@@ -653,12 +681,12 @@ impl Pipeline {
 
     /// Builds the IR for `scenario` and runs the enabled passes over it,
     /// returning the transformed plan and the per-pass deltas.
-    pub fn plan<'s>(
+    pub fn plan(
         &self,
-        scenario: &'s Scenario,
+        scenario: &Scenario,
         cfg: &BbConfig,
         pre: Option<&PreParser>,
-    ) -> Result<(BootPlanIr<'s>, Vec<PassDelta>), Error> {
+    ) -> Result<(BootPlanIr, Vec<PassDelta>), Error> {
         let mut ir = BootPlanIr::from_scenario(scenario, cfg, pre)?;
         let mut deltas = Vec::new();
         for pass in self.enabled(cfg) {
@@ -674,188 +702,92 @@ impl Pipeline {
 /// fault-free and with telemetry off. [`crate::BootRequest::run`] is
 /// the same composition over a resolved plan, with its faults,
 /// telemetry and machine pool.
-pub fn execute(ir: &BootPlanIr<'_>, deltas: Vec<PassDelta>) -> (FullBootReport, Machine) {
-    let (machine, kernel, device) = execute_prefix(
-        PrefixView::of_ir(ir),
-        &bb_sim::FaultPlan::none(),
-        false,
-        None,
-    );
-    execute_suffix(SuffixView::of_ir(ir), deltas, machine, kernel, device)
+pub fn execute(ir: &BootPlanIr, deltas: Vec<PassDelta>) -> (FullBootReport, Machine) {
+    let (machine, kernel, device) = execute_prefix(ir, &bb_sim::FaultPlan::none(), false, None);
+    execute_suffix(ir, deltas, machine, kernel, device)
 }
 
-/// Borrowed view of the plan pieces the boot *prefix* needs —
-/// everything up to (and including) the kernel→init handoff: machine
-/// creation, storage, fault plan, kernel boot, the RCU Booster Control
-/// installation, and module loading setup. This is the shared phase a
-/// checkpoint captures; the only prefix products the suffix needs
-/// beyond the machine itself are the kernel report and the
-/// boot-storage device id.
+/// Executes the boot *prefix* of `ir` — everything up to (and
+/// including) the kernel→init handoff: machine creation, storage, the
+/// fault plan, kernel boot, the RCU Booster Control installation and
+/// module loading setup. This is the shared phase a checkpoint
+/// captures; the only prefix products the suffix needs beyond the
+/// machine itself are the kernel report and the boot-storage device.
 ///
-/// Constructible from a fresh [`BootPlanIr`] (for [`execute`]) or from
-/// a resolved [`OwnedPlan`] (for every [`crate::BootRequest`] path), so
-/// a cached boot or checkpoint never re-plans and never clones the
-/// kernel plan.
-pub(crate) struct PrefixView<'a> {
-    machine: MachineConfig,
-    storage: DeviceProfile,
-    kernel: &'a KernelPlan,
-    modules: &'a ModuleCatalog,
-    module_strategy: ModuleStrategy,
-    boost_rcu: bool,
-}
-
-impl<'a> PrefixView<'a> {
-    fn of_ir(ir: &'a BootPlanIr<'_>) -> Self {
-        PrefixView {
-            machine: ir.machine,
-            storage: ir.storage,
-            kernel: &ir.kernel,
-            modules: ir.modules,
-            module_strategy: ir.module_strategy,
-            boost_rcu: ir.boost_rcu,
-        }
-    }
-
-    pub(crate) fn of_owned(plan: &'a OwnedPlan, scenario: &'a Scenario) -> Self {
-        PrefixView {
-            machine: plan.machine,
-            storage: plan.storage,
-            kernel: &plan.kernel,
-            modules: &scenario.modules,
-            module_strategy: plan.module_strategy,
-            boost_rcu: plan.boost_rcu,
-        }
-    }
-}
-
-/// Executes the boot prefix described by `view` with `faults` installed
-/// before the kernel boots (the empty plan is a strict no-op) and the
-/// telemetry sink armed when asked (it never perturbs the timeline),
-/// constructing the machine through `builder` when one is supplied
-/// (allocation reuse across boots; recycled machines are
+/// `faults` are installed before the kernel boots (the empty plan is a
+/// strict no-op) and the telemetry sink is armed when asked (it never
+/// perturbs the timeline). The machine comes from `builder` when one is
+/// supplied (allocation reuse across boots; recycled machines are
 /// observationally identical to fresh ones).
 pub(crate) fn execute_prefix(
-    view: PrefixView<'_>,
+    ir: &BootPlanIr,
     faults: &bb_sim::FaultPlan,
     telemetry: bool,
     builder: Option<&mut bb_sim::MachineBuilder>,
 ) -> (Machine, bb_kernel::KernelReport, bb_sim::DeviceId) {
     let mut machine = match builder {
-        Some(b) => b.build(view.machine),
-        None => Machine::new(view.machine),
+        Some(b) => b.build(ir.machine),
+        None => Machine::new(ir.machine),
     };
     if telemetry {
         machine.enable_telemetry();
     }
-    let device = machine.add_device("boot-storage", view.storage);
+    let device = machine.add_device("boot-storage", ir.storage);
     machine.install_fault_plan(faults);
     let boot_complete = machine.flag("boot-complete");
 
-    let kernel = execute_kernel_boot(&mut machine, device, view.kernel, boot_complete);
-    bootup_engine::install_rcu_booster_control(&mut machine, view.boost_rcu, boot_complete);
+    let kernel = execute_kernel_boot(&mut machine, device, &ir.kernel, boot_complete);
+    bootup_engine::install_rcu_booster_control(&mut machine, ir.boost_rcu, boot_complete);
     core_engine::install_module_loading(
         &mut machine,
-        view.modules,
+        &ir.modules,
         device,
-        view.module_strategy,
+        ir.module_strategy,
         boot_complete,
     );
     (machine, kernel, device)
 }
 
-/// Borrowed view of the plan pieces the boot *suffix* needs,
-/// constructible from a fresh [`BootPlanIr`] or from a resolved
-/// [`OwnedPlan`] — the latter is how a fleet job resumes without
-/// cloning the unit graph or task tables per boot.
-pub(crate) struct SuffixView<'a> {
-    cfg: BbConfig,
-    graph: &'a UnitGraph,
-    transaction: &'a Transaction,
-    completion: &'a [UnitName],
-    overrides: &'a PlanOverrides,
-    init_tasks: &'a [ManagerTask],
-    service_phase_tasks: &'a [ManagerTask],
-    execution_order: &'a [usize],
-    workloads: &'a WorkloadMap,
-    load: LoadModel,
-    manager_costs: ManagerCosts,
-}
-
-impl<'a> SuffixView<'a> {
-    fn of_ir(ir: &'a BootPlanIr<'_>) -> Self {
-        SuffixView {
-            cfg: ir.cfg,
-            graph: &ir.graph,
-            transaction: &ir.transaction,
-            completion: &ir.completion,
-            overrides: &ir.overrides,
-            init_tasks: &ir.init_tasks,
-            service_phase_tasks: &ir.service_phase_tasks,
-            execution_order: &ir.execution_order,
-            workloads: ir.workloads,
-            load: ir.load,
-            manager_costs: ir.manager_costs,
-        }
-    }
-
-    pub(crate) fn of_owned(plan: &'a OwnedPlan, scenario: &'a Scenario) -> Self {
-        SuffixView {
-            cfg: plan.cfg,
-            graph: &plan.graph,
-            transaction: &plan.transaction,
-            completion: &plan.completion,
-            overrides: &plan.overrides,
-            init_tasks: &plan.init_tasks,
-            service_phase_tasks: &plan.service_phase_tasks,
-            execution_order: &plan.execution_order,
-            workloads: &scenario.workloads,
-            load: plan.load,
-            manager_costs: plan.manager_costs,
-        }
-    }
-}
-
-/// The boot *suffix*: the init scheme and everything after it, resumed
-/// on a machine that already completed [`execute_prefix`] (freshly, or
-/// restored from a snapshot). Composing prefix + suffix replays the
-/// exact machine-op order of an unsplit boot, so timelines are
-/// bit-identical either way.
+/// The boot *suffix* of `ir`: the init scheme and everything after it,
+/// resumed on a machine that already completed [`execute_prefix`]
+/// (freshly, or restored from a snapshot). Composing prefix + suffix
+/// replays the exact machine-op order of an unsplit boot, so timelines
+/// are bit-identical either way.
 pub(crate) fn execute_suffix(
-    view: SuffixView<'_>,
+    ir: &BootPlanIr,
     deltas: Vec<PassDelta>,
     mut machine: Machine,
     kernel: bb_kernel::KernelReport,
     device: bb_sim::DeviceId,
 ) -> (FullBootReport, Machine) {
-    let bb_group: Vec<UnitName> = view
+    let bb_group: Vec<UnitName> = ir
         .overrides
         .isolate
         .iter()
-        .map(|&i| view.graph.unit(i).name.clone())
+        .map(|&i| ir.graph.unit(i).name.clone())
         .collect();
     let plan = BootPlan {
-        graph: view.graph,
-        transaction: view.transaction,
-        completion: view.completion,
-        overrides: view.overrides,
-        init_tasks: view.init_tasks,
-        service_phase_tasks: view.service_phase_tasks,
-        execution_order: view.execution_order,
+        graph: &ir.graph,
+        transaction: &ir.transaction,
+        completion: &ir.completion,
+        overrides: &ir.overrides,
+        init_tasks: &ir.init_tasks,
+        service_phase_tasks: &ir.service_phase_tasks,
+        execution_order: &ir.execution_order,
     };
     let engine_cfg = EngineConfig {
         mode: EngineMode::InOrder,
-        load: view.load,
-        costs: view.manager_costs,
+        load: ir.load,
+        costs: ir.manager_costs,
         device,
     };
-    let boot = run_boot(&mut machine, &plan, view.workloads, &engine_cfg);
+    let boot = run_boot(&mut machine, &plan, &ir.workloads, &engine_cfg);
     let quiesce_time = boot.outcome.end_time;
     let rcu = machine.rcu_stats();
 
     (
         FullBootReport {
-            config: view.cfg,
+            config: ir.cfg,
             kernel,
             boot,
             rcu,
@@ -865,97 +797,6 @@ pub(crate) fn execute_suffix(
         },
         machine,
     )
-}
-
-/// Everything a planned boot needs, owned — the full prefix (machine
-/// shape, storage, transformed kernel plan, module strategy, RCU
-/// install flag) *and* the suffix (graph, transaction, overrides, task
-/// tables, load model) — plus the pass deltas that produced it and
-/// enough scenario identity to tell when it can be reused.
-///
-/// [`crate::BootRequest`] resolves every boot to one of these behind an
-/// `Arc`: a [`crate::PlanCache`] shares them across a whole sweep (one
-/// compiled plan per (scenario, config)), and a [`crate::Checkpoint`]
-/// carries its own so a resume under the checkpoint's configuration
-/// skips [`Pipeline::plan`] entirely. Planning is deterministic, so a
-/// reused plan is the plan a fresh [`Pipeline::plan`] call would have
-/// produced and the timeline stays bit-identical.
-#[derive(Debug)]
-pub(crate) struct OwnedPlan {
-    name: String,
-    units_len: usize,
-    scenario_machine_hash: u64,
-    cfg: BbConfig,
-    machine: MachineConfig,
-    storage: DeviceProfile,
-    kernel: KernelPlan,
-    module_strategy: ModuleStrategy,
-    boost_rcu: bool,
-    graph: UnitGraph,
-    transaction: Transaction,
-    completion: Vec<UnitName>,
-    overrides: PlanOverrides,
-    init_tasks: Vec<ManagerTask>,
-    service_phase_tasks: Vec<ManagerTask>,
-    execution_order: Vec<usize>,
-    load: LoadModel,
-    manager_costs: ManagerCosts,
-    deltas: Vec<PassDelta>,
-}
-
-impl OwnedPlan {
-    /// Moves the owned parts of `ir` (freshly planned from `scenario`)
-    /// and its pass deltas into a scenario-independent plan.
-    pub(crate) fn new(
-        scenario: &Scenario,
-        ir: BootPlanIr<'_>,
-        deltas: Vec<PassDelta>,
-    ) -> OwnedPlan {
-        OwnedPlan {
-            name: scenario.name.clone(),
-            units_len: scenario.units.len(),
-            scenario_machine_hash: bb_sim::snapshot::config_hash(&scenario.machine),
-            cfg: ir.cfg,
-            machine: ir.machine,
-            storage: ir.storage,
-            kernel: ir.kernel,
-            module_strategy: ir.module_strategy,
-            boost_rcu: ir.boost_rcu,
-            graph: ir.graph,
-            transaction: ir.transaction,
-            completion: ir.completion,
-            overrides: ir.overrides,
-            init_tasks: ir.init_tasks,
-            service_phase_tasks: ir.service_phase_tasks,
-            execution_order: ir.execution_order,
-            load: ir.load,
-            manager_costs: ir.manager_costs,
-            deltas,
-        }
-    }
-
-    /// The pass deltas recorded when this plan was compiled.
-    pub(crate) fn deltas(&self) -> &[PassDelta] {
-        &self.deltas
-    }
-
-    /// FNV-1a hash of the machine configuration the plan was built
-    /// from (always the scenario's — no pass edits the machine shape).
-    pub(crate) fn machine_hash(&self) -> u64 {
-        self.scenario_machine_hash
-    }
-
-    /// Whether booting `scenario` under `cfg` can reuse this plan
-    /// verbatim. Conservative: any mismatch (different config, renamed
-    /// scenario, changed unit count or machine shape) sends the caller
-    /// to the plan resolver — reuse is purely an optimization, never a
-    /// semantic fork.
-    pub(crate) fn covers(&self, scenario: &Scenario, cfg: &BbConfig) -> bool {
-        self.cfg == *cfg
-            && self.name == scenario.name
-            && self.units_len == scenario.units.len()
-            && self.scenario_machine_hash == bb_sim::snapshot::config_hash(&scenario.machine)
-    }
 }
 
 #[cfg(test)]

@@ -4,10 +4,11 @@
 //! on the seed, the fault plan, or which worker runs the boot — yet a
 //! fleet sweep historically re-planned every single boot. A
 //! [`PlanCache`] amortizes that: the first boot of a (scenario, config)
-//! pair compiles the plan once into an [`Arc`]'d owned plan (pass
-//! deltas included, `OwnedPlan` internally) and every
-//! later boot — run, checkpoint, or resume, on any worker — reuses it
-//! with zero clones. Attach one to a request with
+//! pair compiles its [`crate::BootPlanIr`] once, puts it and its pass
+//! deltas behind an [`Arc`], and every later boot — run, checkpoint, or
+//! resume, on any worker — reuses it with zero clones. The plan holds
+//! its scenario's module catalog and workload map by `Arc`, so a cached
+//! plan adds no copy of either. Attach a cache to a request with
 //! [`crate::BootRequest::plan_cache`].
 //!
 //! # Keying and safety
@@ -34,7 +35,7 @@ use std::sync::{Arc, Mutex, MutexGuard, Weak};
 
 use crate::booster::Scenario;
 use crate::config::BbConfig;
-use crate::pipeline::OwnedPlan;
+use crate::pipeline::CompiledPlan;
 
 /// Entries above which an insert first evicts entries whose scenario
 /// has been dropped. Keeps a long-lived cache (a `bbsim serve`-style
@@ -45,7 +46,7 @@ struct Entry {
     /// Keeps the keyed allocation alive (ABA guard) and tells us when
     /// the scenario is gone and the entry is purgeable.
     scenario: Weak<Scenario>,
-    plan: Arc<OwnedPlan>,
+    plan: Arc<CompiledPlan>,
 }
 
 /// A thread-safe cache of compiled boot plans, shared across every
@@ -90,7 +91,7 @@ impl PlanCache {
         &self,
         scenario: &Arc<Scenario>,
         cfg: &BbConfig,
-    ) -> Option<Arc<OwnedPlan>> {
+    ) -> Option<Arc<CompiledPlan>> {
         let map = self.map();
         let entry = map.get(&Self::key(scenario, cfg))?;
         // The weak guard makes a pointer match sufficient: the keyed
@@ -107,7 +108,7 @@ impl PlanCache {
 
     /// Stores a freshly compiled plan for (`scenario`, `cfg`) and
     /// counts the compilation.
-    pub(crate) fn insert(&self, scenario: &Arc<Scenario>, cfg: &BbConfig, plan: Arc<OwnedPlan>) {
+    pub(crate) fn insert(&self, scenario: &Arc<Scenario>, cfg: &BbConfig, plan: Arc<CompiledPlan>) {
         self.compiled.fetch_add(1, Ordering::Relaxed);
         let mut map = self.map();
         if map.len() >= PURGE_THRESHOLD {

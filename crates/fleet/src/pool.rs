@@ -770,7 +770,7 @@ mod tests {
             .find(|u| u.name == name)
             .and_then(|u| u.exec.exec_start.clone())
             .expect("completion unit has an ExecStart");
-        scenario.workloads.insert(
+        std::sync::Arc::make_mut(&mut scenario.workloads).insert(
             exec,
             ServiceBody {
                 pre_ready: vec![Op::WaitFlag(FlagId::from_raw(0))],

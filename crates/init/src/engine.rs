@@ -129,7 +129,7 @@ pub struct PlanOverrides {
 }
 
 /// A service's simulated workload body.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServiceBody {
     /// Ops before the service signals readiness (`forking`/`notify`).
     pub pre_ready: Vec<Op>,

@@ -24,7 +24,7 @@ pub enum AccessPattern {
 }
 
 /// One step of a simulated process.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Op {
     /// Occupy a core for the given amount of *reference* CPU time.
     ///
@@ -113,7 +113,7 @@ pub enum Op {
 }
 
 /// Static description of a process: what to run and how urgent it is.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProcessSpec {
     /// Human-readable name, recorded in traces (e.g. `dbus.service`).
     pub name: String,

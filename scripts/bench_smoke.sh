@@ -2,10 +2,12 @@
 # Perf smoke gate over the committed bench baselines.
 #
 # Runs the hotpath and sweep criterion benches with a reduced iteration
-# count (quick, not publication-grade), checks that each regenerated
-# BENCH_*.json carries its schema and every field the committed baseline
-# promises, and fails if a freshly measured throughput regressed more
-# than the tolerance against the committed numbers. CI hosts are noisy
+# count (quick, not publication-grade), checks that each fresh
+# target/BENCH_*.json they write carries its schema and every field the
+# committed baseline promises, and fails if a freshly measured
+# throughput regressed more than the tolerance against the committed
+# numbers. The committed BENCH_*.json files are only read, so a run
+# that fails midway leaves the tree untouched. CI hosts are noisy
 # and shared, so the tolerance is deliberately loose: this gate catches
 # "someone made the engine 2x slower", not single-digit drift.
 # Deterministic counters (storm events, kernel sims, dedup and
@@ -15,6 +17,11 @@
 # Usage:
 #   scripts/bench_smoke.sh            # 20% tolerance, 50 iters
 #   BB_BENCH_ITERS=200 BB_BENCH_TOLERANCE=10 scripts/bench_smoke.sh
+#
+# Re-blessing a baseline is a copy of the fresh document over the
+# committed one, after a full-length bench run:
+#   cargo bench -p bb-bench --bench hotpath
+#   cp target/BENCH_hotpath.json BENCH_hotpath.json
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -79,7 +86,7 @@ SWEEP_FIELDS="cells boots cells_per_sec cells_per_sec_no_dedup \
 
 for b in hotpath sweep; do
     [ -f "BENCH_$b.json" ] || {
-        echo "bench_smoke: BENCH_$b.json missing — run 'cargo bench -p bb-bench --bench $b' and commit it" >&2
+        echo "bench_smoke: BENCH_$b.json missing — run 'cargo bench -p bb-bench --bench $b', copy target/BENCH_$b.json to the repo root and commit it" >&2
         exit 1
     }
 done
@@ -95,23 +102,20 @@ committed_hot="$(field hotpath_boots_per_sec "$BASELINE")"
 committed_events="$(field storm_events "$BASELINE")"
 
 echo "==> running hotpath bench ($ITERS iters)"
+rm -f "target/$BASELINE"
 BB_BENCH_ITERS="$ITERS" cargo bench -p bb-bench --bench hotpath
 
-echo "==> validating regenerated $BASELINE"
+echo "==> validating fresh target/$BASELINE"
 # shellcheck disable=SC2086
-check_schema "$BASELINE" bb-hotpath-v1 $HOTPATH_FIELDS
+check_schema "target/$BASELINE" bb-hotpath-v1 $HOTPATH_FIELDS
 
-fresh_full="$(field full_boots_per_sec "$BASELINE")"
-fresh_hot="$(field hotpath_boots_per_sec "$BASELINE")"
-fresh_events="$(field storm_events "$BASELINE")"
-
-# The bench rewrites BENCH_hotpath.json in place; restore the committed
-# copy so a smoke run never dirties the tree.
-git checkout -- "$BASELINE" 2>/dev/null || true
+fresh_full="$(field full_boots_per_sec "target/$BASELINE")"
+fresh_hot="$(field hotpath_boots_per_sec "target/$BASELINE")"
+fresh_events="$(field storm_events "target/$BASELINE")"
 
 # The storm is deterministic: its event count must not move at all.
 exact storm_events "$fresh_events" "$committed_events" \
-    "the simulation itself changed, re-bless BENCH_hotpath.json deliberately"
+    "the simulation itself changed, re-bless BENCH_hotpath.json deliberately (see the header)"
 
 echo "==> hotpath regression gate (${TOLERANCE}% tolerance)"
 gate full_boots_per_sec "$fresh_full" "$committed_full"
@@ -131,24 +135,23 @@ committed_plans="$(field plans_compiled "$BASELINE")"
 committed_hits="$(field plan_cache_hits "$BASELINE")"
 
 echo "==> running sweep bench ($ITERS iters)"
+rm -f "target/$BASELINE"
 BB_BENCH_ITERS="$ITERS" cargo bench -p bb-bench --bench sweep
 
-echo "==> validating regenerated $BASELINE"
+echo "==> validating fresh target/$BASELINE"
 # shellcheck disable=SC2086
-check_schema "$BASELINE" bb-sweep-v1 $SWEEP_FIELDS
+check_schema "target/$BASELINE" bb-sweep-v1 $SWEEP_FIELDS
 
-fresh_cells="$(field cells_per_sec "$BASELINE")"
-fresh_nodedup="$(field cells_per_sec_no_dedup "$BASELINE")"
-fresh_sims="$(field kernel_sims "$BASELINE")"
-fresh_deduped="$(field cells_deduped "$BASELINE")"
-fresh_plans="$(field plans_compiled "$BASELINE")"
-fresh_hits="$(field plan_cache_hits "$BASELINE")"
-
-git checkout -- "$BASELINE" 2>/dev/null || true
+fresh_cells="$(field cells_per_sec "target/$BASELINE")"
+fresh_nodedup="$(field cells_per_sec_no_dedup "target/$BASELINE")"
+fresh_sims="$(field kernel_sims "target/$BASELINE")"
+fresh_deduped="$(field cells_deduped "target/$BASELINE")"
+fresh_plans="$(field plans_compiled "target/$BASELINE")"
+fresh_hits="$(field plan_cache_hits "target/$BASELINE")"
 
 # The sharing layer is deterministic on a 1-worker pool: the work
 # counters must not move at all.
-blesshint="the sharing layer changed, re-bless BENCH_sweep.json deliberately"
+blesshint="the sharing layer changed, re-bless BENCH_sweep.json deliberately (see the header)"
 exact kernel_sims "$fresh_sims" "$committed_sims" "$blesshint"
 exact cells_deduped "$fresh_deduped" "$committed_deduped" "$blesshint"
 exact plans_compiled "$fresh_plans" "$committed_plans" "$blesshint"

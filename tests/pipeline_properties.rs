@@ -7,13 +7,17 @@
 //! 2. The pipeline refactor is behavior-preserving: a boot through
 //!    `BootRequest` reproduces the pre-refactor TV-scenario boot times
 //!    exactly, for both the conventional and the full-BB configuration.
+//! 3. `Pipeline::plan` + `pipeline::execute` and `BootRequest::run` are
+//!    the same boot: equal reports, deltas and event-queue counters.
 //!
 //! [`PlanPass`]: booting_booster::bb::PlanPass
 
 use proptest::prelude::*;
 
-use booting_booster::bb::{BbConfig, BootPlanIr, BootRequest, Pipeline};
-use booting_booster::workloads::{camera_scenario, tv_scenario};
+use booting_booster::bb::{pipeline, BbConfig, BootPlanIr, BootRequest, Pipeline};
+use booting_booster::workloads::{
+    camera_scenario, profiles, tv_scenario, tv_scenario_with, TizenParams,
+};
 
 /// The plan state passes are allowed to mutate, as one comparable
 /// snapshot. (The graph, transaction, and workload tables are
@@ -83,4 +87,39 @@ fn pipeline_reproduces_pre_refactor_tv_boot_times() {
     // Conventional boots run zero passes; full BB runs all seven.
     assert!(conv.deltas.is_empty());
     assert_eq!(bb.deltas.len(), 7);
+}
+
+#[test]
+fn pipeline_execute_is_boot_request_run() {
+    // The two public ways to boot a plan: compile it and execute the IR
+    // directly, or hand the scenario to `BootRequest`. Both must be the
+    // same boot down to the simulator's event-queue counters.
+    let large = tv_scenario_with(
+        profiles::ue48h6200(),
+        TizenParams {
+            services: 1000,
+            ..TizenParams::default()
+        },
+    );
+    for scenario in [tv_scenario(), large] {
+        for cfg in [BbConfig::conventional(), BbConfig::full()] {
+            let (ir, deltas) = Pipeline::standard()
+                .plan(&scenario, &cfg, None)
+                .expect("plan");
+            let (report, machine) = pipeline::execute(&ir, deltas);
+            let boot = BootRequest::new(&scenario).config(cfg).run().expect("run");
+            let what = format!("{} under {cfg:?}", scenario.name);
+            assert_eq!(
+                format!("{report:?}"),
+                format!("{:?}", boot.report),
+                "report: {what}"
+            );
+            assert_eq!(report.deltas, boot.report.deltas, "deltas: {what}");
+            assert_eq!(
+                machine.event_queue_stats(),
+                boot.machine.event_queue_stats(),
+                "event queue: {what}"
+            );
+        }
+    }
 }

@@ -202,6 +202,37 @@ proptest! {
     }
 }
 
+/// A checkpoint's stored plan belongs to its own scenario. Tizen
+/// scenarios of one profile share their name, unit count and machine
+/// shape across seeds, but the seed reshapes their ordering edges and
+/// workload bodies: resuming seed 1's checkpoint on seed 2 must boot
+/// seed 2's plan, exactly as seed 2's uninterrupted run does.
+#[test]
+fn sibling_seed_resume_boots_its_own_plan() {
+    let tizen = |seed| {
+        tv_scenario_with(
+            profiles::ue48h6200(),
+            TizenParams {
+                seed,
+                ..TizenParams::open_source()
+            },
+        )
+    };
+    let (s1, s2) = (tizen(1), tizen(2));
+    let cfg = BbConfig::full();
+    let ckpt = BootRequest::new(&s1)
+        .config(cfg)
+        .checkpoint_at(CheckpointPhase::KernelHandoff)
+        .expect("checkpoint");
+    let resumed = BootRequest::new(&s2)
+        .config(cfg)
+        .resume(&ckpt)
+        .expect("resume");
+    let straight = BootRequest::new(&s2).config(cfg).run().expect("run");
+    assert_eq!(resumed.report.boot_time(), straight.report.boot_time());
+    assert_eq!(resumed.report.deltas, straight.report.deltas);
+}
+
 // ---------------------------------------------------------------------
 // 3. Golden snapshot: the v1 format, pinned byte for byte.
 // ---------------------------------------------------------------------
