@@ -3,11 +3,13 @@
 //! share one scenario source (baseline pair, 7 single-feature
 //! ablations, 7 leave-one-out ablations), 2 seeds each, 60 boots total.
 //!
-//! This is the shape the shared-artifact layer targets: the cells'
-//! configs collapse to 16 distinct (scenario, config) pairs per seed,
-//! so grid dedup serves the duplicate conventional boots from cache,
-//! the `PlanCache` compiles each distinct pair once, and checkpoint
-//! forking simulates each distinct kernel prefix once per worker.
+//! This is the shape the fleet's sharing targets: the cells' configs
+//! collapse to 16 distinct (scenario, config) pairs per seed, so grid
+//! dedup serves the duplicate conventional boots from cache (28 of 60)
+//! and the ticket builds each seed's scenario once for all 15 cells.
+//! The fleet boots every config plain (`with_fork` is accepted and
+//! changes nothing), so the 32 remaining boots are 32 kernel
+//! simulations.
 //!
 //! Besides the criterion timings this bench writes
 //! `target/BENCH_sweep.json`, which `scripts/bench_smoke.sh` gates
@@ -108,14 +110,12 @@ fn bench_sweep(c: &mut Criterion) {
         .and_then(|v| v.parse().ok())
         .unwrap_or(30);
 
-    // The full shared-artifact engine: checkpoint fork + plan cache +
-    // grid dedup (the sweep default).
+    // Grid dedup (the sweep default) + the ticket's scenario share; the
+    // fork flag is set as the CLI's `--fork-from` sets it.
     let (cells_per_sec, stats) = measure(&spec.clone().with_fork(true), iters);
-    // Dedup and forking off: every grid point runs a full boot and the
-    // plan cache is the only sharing layer — isolates its contribution
-    // and makes its counters fully visible (a forked sweep reuses the
-    // checkpoint's own plan before ever consulting the cache).
-    let (nodedup_cells_per_sec, nodedup_stats) = measure(&spec.clone().with_dedup(false), iters);
+    // Dedup off: every grid point runs a full boot and the
+    // ticket's scenario share is the only sharing left.
+    let (nodedup_cells_per_sec, _) = measure(&spec.clone().with_dedup(false), iters);
 
     let boots = spec.total_boots();
     let speedup = cells_per_sec / BASELINE_PLAIN_CELLS_PER_SEC;
@@ -140,12 +140,8 @@ fn bench_sweep(c: &mut Criterion) {
         nodedup_cells_per_sec / BASELINE_PLAIN_CELLS_PER_SEC
     ));
     out.push_str(&format!(
-        "  \"kernel_sims\": {}, \"cells_deduped\": {},\n",
+        "  \"kernel_sims\": {}, \"cells_deduped\": {}\n",
         stats.kernel_sims, stats.cells_deduped,
-    ));
-    out.push_str(&format!(
-        "  \"plans_compiled\": {}, \"plan_cache_hits\": {}\n",
-        nodedup_stats.plans_compiled, nodedup_stats.plan_cache_hits,
     ));
     out.push_str("}\n");
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../target");
@@ -154,11 +150,8 @@ fn bench_sweep(c: &mut Criterion) {
     println!(
         "[sweep] {boots} boots: {cells_per_sec:.1} cells/s ({speedup:.2}x vs plain baseline \
          {BASELINE_PLAIN_CELLS_PER_SEC:.1}), no-dedup {nodedup_cells_per_sec:.1} cells/s; \
-         {} kernel sims, {} deduped, {} plans compiled / {} cache hits -> target/BENCH_sweep.json",
-        stats.kernel_sims,
-        stats.cells_deduped,
-        nodedup_stats.plans_compiled,
-        nodedup_stats.plan_cache_hits,
+         {} kernel sims, {} deduped -> target/BENCH_sweep.json",
+        stats.kernel_sims, stats.cells_deduped,
     );
 }
 

@@ -23,9 +23,11 @@
 //! [`bb_core::FallbackReason`].
 //!
 //! Chaos tickets ([`WorkItem::Chaos`]) share the sweep's job index,
-//! runner and slot store; only the boot strategy (`boot_job`) and the
-//! report differ. Each job rebuilds its scenario and Pre-parser and
-//! touches no [`crate::FleetCache`] map. Statistics and notable events
+//! runner, slot store and scenario materializer: a job boots the
+//! scenario its ticket shares across the plan and corruption slots of
+//! one seed, with the cell's supervision overlay applied. Only the boot
+//! strategy (`boot_job`) and the report differ, and no chaos boot reads
+//! or writes the [`crate::FleetCache`]. Statistics and notable events
 //! are derived in slot order at finalize, and the JSON report (schema
 //! `bb-fleet-chaos-v2`) is byte-identical for any worker count.
 
@@ -35,15 +37,15 @@ use crate::aggregate::Aggregator;
 use crate::json;
 use crate::pool::{BootSample, FailureKind, FleetCache, JobOutput, PoolConfig, PoolStats};
 use crate::service::{run_one_shot, ServiceReport, WorkItem};
-use crate::spec::{CellSpec, ChaosSpec, Job, ScenarioSource};
+use crate::spec::{CellSpec, ChaosSpec, Job};
+use bb_core::booster::Scenario;
 use bb_core::{
-    fault_targets, run_with_fallback_recovering, with_supervision, ArtifactRead, BootOutcome,
-    FallbackPolicy, PreParser,
+    fault_targets, run_with_fallback_recovering, ArtifactRead, BootOutcome, FallbackPolicy,
+    PreParser,
 };
 use bb_init::encode_units;
 use bb_sim::telemetry::percentile_of;
 use bb_sim::{CorruptionPlan, FaultPlan, SimDuration};
-use bb_workloads::{tv_scenario_with, TizenParams};
 
 fn plan_label(plan_seed: Option<u64>) -> String {
     match plan_seed {
@@ -476,26 +478,20 @@ fn transient_reads(seed: u64) -> u32 {
     ((z ^ (z >> 31)) % 6) as u32
 }
 
-/// The chaos strategy: builds the job's scenario (supervision overlay
-/// applied) and Pre-parser, derives its fault plan and damaged artifact
-/// from the job's slots, and boots every config through the supervised,
+/// The chaos strategy: derives the job's fault plan and damaged
+/// artifact from its slots, and boots every config of `scenario` (the
+/// cell's supervision overlay already applied, see
+/// [`crate::spec::job_scenario`]) through the supervised,
 /// artifact-validating fallback boot.
-pub(crate) fn boot_job(cell: &CellSpec, job: Job) -> Result<JobOutput, FailureKind> {
-    let seed = cell.seeds[job.seed_idx];
-    let scenario = match &cell.source {
-        ScenarioSource::Fixed(s) => (**s).clone(),
-        ScenarioSource::Tizen { profile, params } => {
-            tv_scenario_with(*profile, TizenParams { seed, ..*params })
-        }
-    };
-    let scenario = match cell.supervision {
-        Some(s) => with_supervision(&scenario, s.restart, s.restart_sec_ms, s.start_limit_burst),
-        None => scenario,
-    };
-    let pre = PreParser::build(&scenario.units);
+pub(crate) fn boot_job(
+    cell: &CellSpec,
+    job: Job,
+    scenario: &Scenario,
+    pre: &PreParser,
+) -> Result<JobOutput, FailureKind> {
     let plan = match cell.plan_seeds[job.plan_idx] {
         None => FaultPlan::none(),
-        Some(ps) => FaultPlan::seeded(ps, &fault_targets(&scenario)),
+        Some(ps) => FaultPlan::seeded(ps, &fault_targets(scenario)),
     };
     // Corruption slot `None` supplies no artifact (the pristine
     // control: identical to a boot that never had a cache). A seeded
@@ -511,9 +507,9 @@ pub(crate) fn boot_job(cell: &CellSpec, job: Job) -> Result<JobOutput, FailureKi
     let mut samples = Vec::with_capacity(cell.configs.len());
     for (_, cfg) in &cell.configs {
         let (boot, recoveries) = run_with_fallback_recovering(
-            &scenario,
+            scenario,
             cfg,
-            Some(&pre),
+            Some(pre),
             artifact.as_ref(),
             &plan,
             &policy,
@@ -547,7 +543,7 @@ mod tests {
     use super::*;
     use crate::spec::Supervision;
     use bb_core::BbConfig;
-    use bb_workloads::profiles;
+    use bb_workloads::{profiles, TizenParams};
 
     fn tiny_cell() -> CellSpec {
         CellSpec::tizen(
@@ -737,6 +733,31 @@ mod tests {
             }
         }
         assert!(checked > 0, "no corruption slot rejected every artifact");
+    }
+
+    /// A `Fixed` cell boots its scenario with the supervision overlay
+    /// applied, exactly as a `Tizen` cell boots the same generated
+    /// scenario: one materializer serves both sources.
+    #[test]
+    fn fixed_cells_boot_with_the_supervision_overlay() {
+        let params = TizenParams {
+            services: 24,
+            seed: 3,
+            ..TizenParams::open_source()
+        };
+        let scenario = bb_workloads::tv_scenario_with(profiles::ue48h6200(), params);
+        let generated = tiny_cell().seeds([3]);
+        let fixed = CellSpec {
+            source: crate::spec::ScenarioSource::Fixed(std::sync::Arc::new(scenario)),
+            ..generated.clone()
+        };
+        let run = |cell: CellSpec| {
+            let spec = ChaosSpec::new().cell(cell.fault_plans(2, 100).conventional_vs_bb());
+            run_chaos(&spec, &PoolConfig::with_workers(2))
+                .report
+                .to_json()
+        };
+        assert_eq!(run(fixed), run(generated));
     }
 
     #[test]

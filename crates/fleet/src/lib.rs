@@ -19,15 +19,16 @@
 //! * [`service`] — [`FleetService`]: the persistent executor. Long-lived
 //!   workers, a central bounded work queue with per-client round-robin
 //!   fairness, `submit`/`poll`/`wait`/`cancel` tickets, per-client
-//!   quotas, and one service-wide [`FleetCache`] every sweep ticket
-//!   shares. The ticket kind ([`WorkItem`]) picks the boot strategy.
-//!   This is what `bbsim serve` runs.
+//!   quotas, and one service-wide [`FleetCache`] of boot outcomes every
+//!   sweep ticket shares. The ticket kind ([`WorkItem`]) picks the boot
+//!   strategy. This is what `bbsim serve` runs.
 //! * [`pool`] — the one job runner (per-job panic isolation, wall-clock
-//!   deadlines, failures), the sweep strategy over the shared
-//!   [`FleetCache`] — compiled boot plans ([`bb_core::PlanCache`]),
-//!   memoized scenarios, deduplicated boot outcomes
-//!   ([`SweepSpec::dedup`]), and service-wide kernel checkpoints
-//!   ([`SweepSpec::fork`]) — the one-shot entry point [`run_sweep`],
+//!   deadlines, failures), the ticket's scenario share (one scenario per
+//!   fingerprint two of its jobs boot, whose jobs run back to back and
+//!   the last of which drops it), the
+//!   sweep strategy — dedup first ([`SweepSpec::dedup`]), then a plain
+//!   boot of every config the cache missed — the one-shot entry point
+//!   [`run_sweep`],
 //!   and the observability counters ([`PoolStats`]).
 //! * [`aggregate`] — the slot store every ticket streams results into,
 //!   addressed by flat job index and finalized in slot order, and the
@@ -37,8 +38,9 @@
 //!   report (schema `bb-fleet-v1`), and — when
 //!   [`SweepSpec::with_metrics`] is on — per-span telemetry percentiles
 //!   as a [`MetricsReport`] (`bb-metrics-v1`).
-//! * [`chaos`] — [`run_chaos`]: the chaos strategy, booting every job
-//!   through the supervised [`bb_core::run_with_fallback_recovering`]
+//! * [`chaos`] — [`run_chaos`]: the chaos strategy, booting every job's
+//!   shared scenario through the supervised
+//!   [`bb_core::run_with_fallback_recovering`]
 //!   boot, and its report: recovery rate, restart counts,
 //!   degraded-boot rate, artifact rejection rates, recovery-cost
 //!   percentiles, and boot-time-under-fault percentiles (schema

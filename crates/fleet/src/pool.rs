@@ -1,4 +1,4 @@
-//! Job execution and the shared artifact cache.
+//! Job execution and the boot-outcome cache.
 //!
 //! The long-lived executor lives in [`crate::service`]: a
 //! [`crate::FleetService`] owns the worker threads, the bounded work
@@ -14,41 +14,47 @@
 //! draining. A per-job wall-clock deadline (from [`SweepSpec::deadline`])
 //! is checked after the job runs — the simulator has no preemption
 //! points, so overruns are detected post-hoc and the result discarded.
-//! The ticket kind picks the boot strategy: sweep jobs boot through the
-//! shared artifacts below, chaos jobs through the supervised fallback
-//! boot of [`crate::chaos`], sharing nothing.
+//! The ticket kind picks the boot strategy: sweep jobs boot fault-free
+//! through the dedup cache below, chaos jobs through the supervised
+//! fallback boot of [`crate::chaos`].
 //!
 //! Determinism: results are identified by their flat job index and
 //! stored into index-addressed slots, so the *output* of a grid is
 //! identical for any worker count even though execution order is not.
 //!
-//! # Shared artifacts
+//! # What is shared, and for how long
 //!
-//! Every sweep runs over a [`FleetCache`]: a [`bb_core::PlanCache`] so
-//! each (scenario, config) pair compiles its boot plan once, a
-//! scenario memo so jobs with identical sources share one `Arc`'d
-//! scenario (which is what makes the pointer-keyed plan cache hit
-//! across jobs), a boot-outcome cache that lets [`SweepSpec::dedup`]
-//! serve identical grid points without re-simulating, and a
-//! service-wide checkpoint memo so forked sweeps ([`SweepSpec::fork`])
-//! share kernel-prefix snapshots across jobs, workers, and clients.
-//! All four are keyed by the content fingerprints from [`crate::spec`],
-//! and all four are invisible in the report: simulation is
-//! deterministic, so cached results are bit-identical to fresh ones.
-//! [`run_sweep`] takes the cache explicitly; pass [`FleetCache::fresh`]
-//! for a private per-call cache, or hold one `Arc` across calls (or
-//! behind a [`crate::FleetService`]) to carry artifacts across sweeps.
+//! A ticket is the only scope that shares scenarios: its plan
+//! fingerprints every job once ([`crate::spec`]) and keeps a
+//! use-counted share per fingerprint two or more of its jobs boot. The
+//! plan queues the jobs of one fingerprint back to back, so a share is
+//! built by the first job of its run and dropped by the last: a ticket
+//! holds at most one built scenario per job in flight, plus one,
+//! however many seeds, plans or cells its grid has. Finalize or cancel
+//! drops whatever is left. Every config boots plain; no fleet job
+//! forks from a checkpoint (see [`SweepSpec::fork`]).
+//!
+//! What outlives a ticket is the [`FleetCache`]: the boot outcomes that
+//! let [`SweepSpec::dedup`] serve an identical grid point without
+//! re-simulating it — within a sweep, across sweeps, and across clients
+//! of one [`crate::FleetService`]. Outcomes are a few integers each, so
+//! the cache holds no scenario, plan or snapshot. Simulation is
+//! deterministic, so a served outcome is bit-identical to a fresh one
+//! and sharing never changes a report. [`run_sweep`] takes the cache
+//! explicitly; pass [`FleetCache::fresh`] for a private per-call cache,
+//! or hold one `Arc` across calls to carry outcomes across sweeps.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 use crate::aggregate::SweepReport;
 use crate::service::{run_one_shot, ServiceReport, WorkItem};
 use crate::spec::{cell_fingerprint, job_fingerprint, job_scenario, Job, SweepSpec};
 use bb_core::booster::Scenario;
-use bb_core::{BootRequest, Checkpoint, CheckpointPhase, PlanCache, PreParser};
+use bb_core::{BootRequest, PreParser};
 
 /// Pool sizing for the one-shot entry points ([`run_sweep`],
 /// [`crate::run_chaos`]). The persistent service has its own
@@ -78,22 +84,8 @@ impl PoolConfig {
     }
 }
 
-/// Prefix key of a [`bb_core::BbConfig`] — the features that shape the
-/// boot up to the kernel→init handoff.
-pub(crate) type PrefixKey = (bool, bool, bool, bool);
-
-/// Entries above which the scenario memo is reset. Generous: a sweep
-/// holds one entry per distinct (source, seed) pair, and losing an
-/// entry only costs sharing, never correctness.
-const SCENARIO_MEMO_CAP: usize = 4096;
-
 /// Entries above which the boot-outcome cache is reset.
 const BOOT_CACHE_CAP: usize = 65536;
-
-/// Checkpoints the service-wide memo keeps before resetting. Small
-/// relative to the other caps: checkpoints own a machine snapshot, and
-/// a clear only costs re-forking.
-const CHECKPOINT_MEMO_CAP: usize = 256;
 
 /// One memoized boot outcome (everything a job extracts from a boot),
 /// fanned out to every grid point that requests the same
@@ -118,73 +110,30 @@ enum CachedBoot {
     Incomplete,
 }
 
-/// Shared artifacts of one or more sweeps: compiled boot plans, memoized
-/// scenarios, deduplicated boot outcomes, and kernel-prefix checkpoints
-/// (see the module docs).
+/// Boot outcomes shared by one or more sweeps: the dedup map (see the
+/// module docs).
 ///
-/// All interior state is behind its own lock, so one cache can back any
-/// number of concurrent workers — and, through [`crate::FleetService`],
-/// any number of concurrent clients: two clients submitting overlapping
-/// grids share plans, scenarios, boot outcomes, and checkpoints.
-/// Everything in here is derived deterministically from scenario
-/// content, so sharing never changes a report.
+/// The map is behind a lock, so one cache can back any number of
+/// concurrent workers — and, through [`crate::FleetService`], any
+/// number of concurrent clients: two clients submitting overlapping
+/// grids share boot outcomes. Every entry is derived deterministically
+/// from scenario content, so sharing never changes a report.
 #[derive(Debug, Default)]
 pub struct FleetCache {
-    plans: PlanCache,
-    scenarios: Mutex<HashMap<u64, (Arc<Scenario>, PreParser)>>,
     boots: Mutex<HashMap<(u64, u8), CachedBoot>>,
-    /// Kernel-handoff checkpoints, keyed by (job fingerprint, prefix
-    /// key). Promoted from per-worker to service-wide: any worker (or
-    /// client) forking the same scenario prefix resumes from one shared
-    /// snapshot.
-    checkpoints: Mutex<HashMap<(u64, PrefixKey), Arc<Checkpoint>>>,
 }
 
 impl FleetCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        FleetCache::default()
-    }
-
     /// An empty cache behind the `Arc` the fleet APIs take — the
     /// fresh-cache convenience default:
     /// `run_sweep(&spec, &pool, &FleetCache::fresh())`.
     pub fn fresh() -> Arc<Self> {
-        Arc::new(FleetCache::new())
+        Arc::default()
     }
 
-    /// The plan-compilation cache (for counter snapshots).
-    pub fn plans(&self) -> &PlanCache {
-        &self.plans
-    }
-
-    /// Drops every cached artifact.
+    /// Drops every cached outcome.
     pub fn clear(&self) {
-        self.plans.clear();
-        lock(&self.scenarios).clear();
         lock(&self.boots).clear();
-        lock(&self.checkpoints).clear();
-    }
-
-    /// The memoized `(scenario, preparser)` for job fingerprint `fp`,
-    /// building (outside the lock) and inserting on a miss. On a racing
-    /// double-build the first insert wins, so every job of a fingerprint
-    /// converges on one `Arc` — the pointer identity the plan cache
-    /// keys on.
-    fn scenario(
-        &self,
-        fp: u64,
-        build: impl FnOnce() -> (Arc<Scenario>, PreParser),
-    ) -> (Arc<Scenario>, PreParser) {
-        if let Some(hit) = lock(&self.scenarios).get(&fp) {
-            return hit.clone();
-        }
-        let built = build();
-        let mut map = lock(&self.scenarios);
-        if map.len() >= SCENARIO_MEMO_CAP {
-            map.clear();
-        }
-        map.entry(fp).or_insert(built).clone()
     }
 
     /// The cached outcome for (`fp`, config `bits`), if one exists and
@@ -209,25 +158,6 @@ impl FleetCache {
             map.clear();
         }
         map.insert((fp, bits), outcome);
-    }
-
-    /// The memoized kernel-handoff checkpoint for `key`, if any worker
-    /// has forked it already.
-    fn checkpoint(&self, key: (u64, PrefixKey)) -> Option<Arc<Checkpoint>> {
-        lock(&self.checkpoints).get(&key).cloned()
-    }
-
-    /// Memoizes a freshly forked checkpoint. First insert wins: on a
-    /// racing double-fork both boots resume from the winner (the
-    /// snapshots are deterministic and identical, so the race is
-    /// invisible in reports — only the kernel-simulation *count* can
-    /// vary, and that is host-side observability).
-    fn checkpoint_insert(&self, key: (u64, PrefixKey), ckpt: Checkpoint) -> Arc<Checkpoint> {
-        let mut map = lock(&self.checkpoints);
-        if map.len() >= CHECKPOINT_MEMO_CAP {
-            map.clear();
-        }
-        map.entry(key).or_insert_with(|| Arc::new(ckpt)).clone()
     }
 }
 
@@ -271,11 +201,8 @@ pub(crate) struct BootSample {
 pub(crate) struct JobOutput {
     /// One sample per config, in config order.
     pub(crate) samples: Vec<BootSample>,
-    /// Kernel-phase simulations this job actually executed. Equals the
-    /// config count for a plain sweep; with [`SweepSpec::fork`] it is
-    /// the number of distinct prefix keys in the cell's config list the
-    /// service-wide memo had no checkpoint for, and boots served from
-    /// the dedup cache simulate nothing at all.
+    /// Kernel-phase simulations this job executed: one per config it
+    /// booted. Boots served from the dedup cache simulate nothing.
     pub(crate) kernel_sims: usize,
     /// Deepest simulator event queue observed across this job's boots
     /// (the machine's high-water mark, a sizing signal for
@@ -315,27 +242,15 @@ pub struct PoolStats {
     /// Supervised respawns observed across all boots. Always 0 for
     /// fault-free sweeps; chaos sweeps count every `Restart=` respawn.
     pub restarts: usize,
-    /// Kernel-phase simulations executed across all completed jobs.
-    /// Equals the boot count for a plain sweep; a forked sweep
-    /// ([`SweepSpec::fork`]) simulates the shared prefix once per
-    /// distinct prefix key the service-wide memo was missing, so this
-    /// drops well below the boot count — the work the checkpoint fork
-    /// saved.
+    /// Kernel-phase simulations executed across all completed jobs:
+    /// one per simulated boot, so boots served from the dedup cache
+    /// are not counted.
     pub kernel_sims: usize,
     /// Deepest simulator event queue observed across all completed
     /// boots. Deterministic (simulated state, not host time), but kept
     /// out of the JSON report so sweep documents stay byte-stable
     /// across simulator sizing changes.
     pub peak_events: usize,
-    /// Boot plans compiled while this sweep ran — one per distinct
-    /// (scenario, config) pair that actually booted (see
-    /// [`bb_core::PlanCache`]). Measured as a cache-counter delta, so
-    /// on a service running concurrent tickets a neighbor's compiles
-    /// can be attributed here — observability, never report data.
-    pub plans_compiled: u64,
-    /// Boots that reused an already-compiled plan instead of running
-    /// the pass pipeline again.
-    pub plan_cache_hits: u64,
     /// Boots served from the dedup cache instead of simulated (see
     /// [`SweepSpec::dedup`]). Like everything in `PoolStats` this is
     /// execution observability, not part of the JSON report: racing
@@ -399,13 +314,6 @@ impl PoolStats {
         if self.kernel_sims > 0 {
             let _ = writeln!(out, "  kernel phase simulated {} time(s)", self.kernel_sims);
         }
-        if self.plans_compiled > 0 || self.plan_cache_hits > 0 {
-            let _ = writeln!(
-                out,
-                "  boot plans compiled {} time(s), served from cache {} time(s)",
-                self.plans_compiled, self.plan_cache_hits,
-            );
-        }
         if self.cells_deduped > 0 {
             let _ = writeln!(
                 out,
@@ -446,10 +354,10 @@ pub struct SweepOutcome {
 /// `pool.workers` threads, over the given [`FleetCache`].
 ///
 /// Pass [`FleetCache::fresh`] for a private per-call cache, or hold one
-/// `Arc<FleetCache>` across calls to carry compiled plans, memoized
-/// scenarios, deduplicated boot outcomes, and checkpoints between
-/// sweeps. Reports are unaffected by cache state — a warm cache only
-/// changes how much work the sweep skips (visible in [`PoolStats`]).
+/// `Arc<FleetCache>` across calls to carry deduplicated boot outcomes
+/// between sweeps. Reports are unaffected by cache state — a warm cache
+/// only changes how much work the sweep skips (visible in
+/// [`PoolStats`]).
 ///
 /// The aggregated report is byte-identical for any worker count: result
 /// slots are addressed by flat job index and finalized in slot order,
@@ -463,20 +371,37 @@ pub fn run_sweep(spec: &SweepSpec, pool: &PoolConfig, cache: &Arc<FleetCache>) -
     }
 }
 
-/// A ticket's expanded grid, shared read-only with the workers: the
-/// spec, its job list (a job's position is its slot index), and the
-/// boot strategy the ticket kind selects.
+/// A ticket's expanded grid, shared with the workers: the spec, its job
+/// list (a job's position is its slot index), the order the jobs run
+/// in, the boot strategy the ticket kind selects, and the ticket's
+/// scenario share.
 pub(crate) struct Plan {
     pub(crate) spec: SweepSpec,
     /// Chaos tickets boot every job supervised under its fault and
-    /// corruption slots, sharing nothing; sweep tickets boot fault-free
-    /// through the shared [`FleetCache`].
+    /// corruption slots; sweep tickets boot fault-free through the
+    /// dedup cache.
     pub(crate) chaos: bool,
     pub(crate) jobs: Vec<Job>,
-    /// Sweep tickets only: the per-cell `Fixed` templates and source
-    /// fingerprints (empty for chaos tickets, which build per job).
-    shared: Vec<Option<(Arc<Scenario>, PreParser)>>,
-    fps: Vec<(u64, bool)>,
+    /// The order the service queues the jobs in: flat order, except
+    /// that the jobs sharing a fingerprint follow the first of them.
+    /// Workers pop in this order, so a share is built by the first job
+    /// of its run and released by the last, and a ticket holds at most
+    /// one built scenario per job in flight, plus one.
+    pub(crate) order: Vec<usize>,
+    /// Each job's fingerprint, index-aligned with `jobs`.
+    fps: Vec<u64>,
+    /// One entry per fingerprint two or more of this ticket's jobs
+    /// boot: the jobs yet to release it, and the scenario once built.
+    share: Mutex<HashMap<u64, Share>>,
+}
+
+/// One fingerprint's entry in a ticket's scenario share. The first job
+/// to need the scenario builds it; a job racing it waits for that build
+/// instead of repeating it.
+#[derive(Default)]
+struct Share {
+    uses: usize,
+    built: Arc<OnceLock<(Arc<Scenario>, PreParser)>>,
 }
 
 impl Plan {
@@ -485,23 +410,37 @@ impl Plan {
             WorkItem::Sweep(spec) => (spec, false),
             WorkItem::Chaos(spec) => (spec, true),
         };
-        let (shared, fps) = if chaos {
-            (Vec::new(), Vec::new())
-        } else {
-            let fps = spec.cells.iter().map(cell_fingerprint).collect();
-            (spec.shared_templates(), fps)
-        };
+        let jobs = spec.jobs();
+        let cell_fps: Vec<_> = spec.cells.iter().map(cell_fingerprint).collect();
+        let fps: Vec<u64> = jobs
+            .iter()
+            .map(|job| {
+                let (base, seed_dependent) = cell_fps[job.cell];
+                let seed = spec.cells[job.cell].seeds[job.seed_idx];
+                job_fingerprint(base, seed_dependent, seed)
+            })
+            .collect();
+        let mut first = HashMap::new();
+        let mut share = HashMap::<_, Share>::new();
+        for (index, &fp) in fps.iter().enumerate() {
+            first.entry(fp).or_insert(index);
+            share.entry(fp).or_default().uses += 1;
+        }
+        share.retain(|_, s| s.uses >= 2);
+        let mut order: Vec<usize> = (0..jobs.len()).collect();
+        order.sort_by_key(|&index| first[&fps[index]]);
         Plan {
-            jobs: spec.jobs(),
+            jobs,
             spec,
             chaos,
-            shared,
+            order,
             fps,
+            share: Mutex::new(share),
         }
     }
 
     /// Executes job `index` with panic isolation and the post-hoc
-    /// wall-clock deadline check.
+    /// wall-clock deadline check, then releases its scenario share.
     pub(crate) fn run_job(
         &self,
         index: usize,
@@ -512,12 +451,14 @@ impl Plan {
         let started = Instant::now();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             if self.chaos {
-                crate::chaos::boot_job(&self.spec.cells[job.cell], job)
+                let (scenario, pre) = self.scenario(index);
+                crate::chaos::boot_job(&self.spec.cells[job.cell], job, &scenario, &pre)
             } else {
-                self.boot_shared(job, cache, builder)
+                self.boot_shared(index, cache, builder)
             }
         }));
         let elapsed = started.elapsed();
+        self.release(index);
         let out = outcome.map_err(|payload| FailureKind::Panic(panic_message(payload)))??;
         match self.spec.deadline {
             Some(deadline) if elapsed > deadline => Err(FailureKind::DeadlineExceeded { elapsed }),
@@ -525,16 +466,49 @@ impl Plan {
         }
     }
 
-    /// The sweep strategy: boots every config of a pristine slot through
-    /// the shared scenario memo, plan cache, dedup cache and checkpoint
-    /// memo.
+    /// The scenario job `index` boots, and its Pre-parser: from the
+    /// ticket share if its fingerprint has one (built there by the
+    /// first job to ask), else built for this job alone.
+    fn scenario(&self, index: usize) -> (Arc<Scenario>, PreParser) {
+        let job = self.jobs[index];
+        let cell = &self.spec.cells[job.cell];
+        let build = || job_scenario(cell, cell.seeds[job.seed_idx]);
+        let shared = lock(&self.share)
+            .get(&self.fps[index])
+            .map(|s| Arc::clone(&s.built));
+        match shared {
+            Some(built) => built.get_or_init(build).clone(),
+            None => build(),
+        }
+    }
+
+    /// Releases job `index`'s use of its share; the last use drops it.
+    fn release(&self, index: usize) {
+        if let Entry::Occupied(mut entry) = lock(&self.share).entry(self.fps[index]) {
+            entry.get_mut().uses -= 1;
+            if entry.get().uses == 0 {
+                entry.remove();
+            }
+        }
+    }
+
+    /// Drops the whole share when the ticket finalizes or is cancelled;
+    /// a job still in flight keeps the scenario it already holds.
+    pub(crate) fn drop_share(&self) {
+        lock(&self.share).clear();
+    }
+
+    /// The sweep strategy: replays every config the dedup cache holds
+    /// and boots the rest from the job's scenario, materialized on the
+    /// first miss.
     fn boot_shared(
         &self,
-        job: Job,
+        index: usize,
         cache: &FleetCache,
         builder: &mut bb_sim::MachineBuilder,
     ) -> Result<JobOutput, FailureKind> {
         let spec = &self.spec;
+        let job = self.jobs[index];
         let cell = &spec.cells[job.cell];
         if cell.plan_seeds[job.plan_idx].is_some()
             || cell.corruption_seeds[job.corr_idx].is_some()
@@ -544,83 +518,49 @@ impl Plan {
                 "fault axes and supervision need a chaos ticket".into(),
             ));
         }
-        let seed = cell.seeds[job.seed_idx];
-        let (base_fp, seed_dependent) = self.fps[job.cell];
-        let fp = job_fingerprint(base_fp, seed_dependent, seed);
-        // Jobs with the same fingerprint converge on one Arc'd scenario,
-        // which is what lets the pointer-keyed plan cache hit across
-        // jobs and cells.
-        let (scenario, pre) =
-            cache.scenario(fp, || job_scenario(cell, seed, &self.shared[job.cell]));
+        let fp = self.fps[index];
+        let mut built = None;
         let mut out = JobOutput {
             samples: Vec::with_capacity(cell.configs.len()),
             ..JobOutput::default()
         };
         for (label, cfg) in &cell.configs {
-            let bits = cfg.bits();
-            // Dedup: an identical grid point that already ran anywhere
-            // in the sweep replays its (deterministic) outcome.
-            if spec.dedup {
-                match cache.boot_lookup(fp, bits, spec.metrics) {
-                    Some(CachedBoot::Incomplete) => {
-                        return Err(FailureKind::Incomplete {
-                            config: label.clone(),
-                        })
-                    }
-                    Some(CachedBoot::Done {
-                        boot_ns,
-                        peak_events,
-                        spans,
-                    }) => {
-                        out.samples.push(BootSample {
-                            boot_ns,
-                            spans: spans.filter(|_| spec.metrics),
-                            ..BootSample::default()
-                        });
-                        out.peak_events = out.peak_events.max(peak_events);
-                        out.deduped += 1;
-                        continue;
-                    }
-                    None => {}
+            // Dedup first: an identical grid point that already ran
+            // anywhere (an earlier config of this job included) replays
+            // its deterministic outcome.
+            let hit = (spec.dedup)
+                .then(|| cache.boot_lookup(fp, cfg.bits(), spec.metrics))
+                .flatten();
+            match hit {
+                Some(CachedBoot::Incomplete) => {
+                    return Err(FailureKind::Incomplete {
+                        config: label.clone(),
+                    })
                 }
+                Some(CachedBoot::Done {
+                    boot_ns,
+                    peak_events,
+                    spans,
+                }) => {
+                    out.samples.push(BootSample {
+                        boot_ns,
+                        spans: spans.filter(|_| spec.metrics),
+                        ..BootSample::default()
+                    });
+                    out.peak_events = out.peak_events.max(peak_events);
+                    out.deduped += 1;
+                    continue;
+                }
+                None => {}
             }
-            let boot = if spec.fork {
-                // Forked mode: one checkpoint per distinct (scenario,
-                // prefix key), memoized service-wide in the FleetCache.
-                // Every boot resumes (the first included), so forked ≡
-                // unforked reduces to resume ≡ run — the property
-                // bb-core's checkpoint tests pin.
-                let key = (fp, cfg.prefix_key());
-                let ckpt = match cache.checkpoint(key) {
-                    Some(ckpt) => ckpt,
-                    None => {
-                        let forked = BootRequest::new(&scenario)
-                            .config(*cfg)
-                            .prepared(&pre)
-                            .machine_builder(&mut *builder)
-                            .plan_cache(&cache.plans, &scenario)
-                            .checkpoint_at(CheckpointPhase::KernelHandoff)
-                            .map_err(|e| FailureKind::Boost(e.to_string()))?;
-                        out.kernel_sims += 1;
-                        cache.checkpoint_insert(key, forked)
-                    }
-                };
-                BootRequest::new(&scenario)
-                    .config(*cfg)
-                    .prepared(&pre)
-                    .machine_builder(&mut *builder)
-                    .plan_cache(&cache.plans, &scenario)
-                    .resume(&ckpt)
-            } else {
-                out.kernel_sims += 1;
-                BootRequest::new(&scenario)
-                    .config(*cfg)
-                    .prepared(&pre)
-                    .machine_builder(&mut *builder)
-                    .plan_cache(&cache.plans, &scenario)
-                    .run()
-            };
-            let boot = boot.map_err(|e| FailureKind::Boost(e.to_string()))?;
+            let (scenario, pre) = &*built.get_or_insert_with(|| self.scenario(index));
+            out.kernel_sims += 1;
+            let boot = BootRequest::new(scenario)
+                .config(*cfg)
+                .prepared(pre)
+                .machine_builder(&mut *builder)
+                .run()
+                .map_err(|e| FailureKind::Boost(e.to_string()))?;
             let peak = boot.machine.event_queue_stats().peak_depth;
             out.peak_events = out.peak_events.max(peak);
             builder.recycle(boot.machine);
@@ -629,7 +569,7 @@ impl Plan {
             // reported failure, not a worker panic (`try_boot_time`).
             let Some(boot_time) = report.try_boot_time() else {
                 if spec.dedup {
-                    cache.boot_insert(fp, bits, CachedBoot::Incomplete);
+                    cache.boot_insert(fp, cfg.bits(), CachedBoot::Incomplete);
                 }
                 return Err(FailureKind::Incomplete {
                     config: label.clone(),
@@ -644,7 +584,7 @@ impl Plan {
             if spec.dedup {
                 cache.boot_insert(
                     fp,
-                    bits,
+                    cfg.bits(),
                     CachedBoot::Done {
                         boot_ns: boot_time.as_nanos(),
                         peak_events: peak,
@@ -793,26 +733,14 @@ mod tests {
             .all(|f| f.reason == "incomplete boot: conventional"));
     }
 
-    /// The acceptance property of checkpoint-forked sweeps: JSON
-    /// byte-identical to the unforked sweep, shared kernel phase
-    /// simulated once per prefix key per job.
+    /// `SweepSpec::fork` is accepted and changes nothing: the fleet
+    /// boots every config plain, so a forked sweep reports the same
+    /// bytes and simulates the kernel once per boot, also where two
+    /// configs share a kernel prefix.
     #[test]
-    fn forked_sweep_is_byte_identical_and_simulates_the_kernel_once() {
-        let spec = tiny_spec([1, 2]);
-        let pool = PoolConfig::with_workers(2);
-        let plain = run_sweep(&spec, &pool, &FleetCache::fresh());
-        let forked = run_sweep(&spec.clone().with_fork(true), &pool, &FleetCache::fresh());
-        assert_eq!(plain.report.to_json(), forked.report.to_json());
-        // conventional vs bb differ in every prefix feature → 2 keys
-        // per job; the plain sweep simulates the kernel per boot. The
-        // job fingerprints are seed-dependent, so the service-wide memo
-        // cannot share across the two jobs and the counts stay exact.
-        assert_eq!(plain.stats.kernel_sims, 4);
-        assert_eq!(forked.stats.kernel_sims, 4);
-
-        // A config axis that shares one prefix key forks for real:
-        // full BB vs BB-without-bb_group boot the same kernel.
-        let shared_prefix = SweepSpec::new().cell(
+    fn fork_is_accepted_and_boots_every_config_plain() {
+        // Full BB vs BB-without-bb_group boot the same kernel prefix.
+        let shared_prefix = tiny_spec([1, 2]).cell(
             CellSpec::tizen(
                 "tiny",
                 profiles::ue48h6200(),
@@ -831,6 +759,7 @@ mod tests {
                 },
             ),
         );
+        let pool = PoolConfig::with_workers(1);
         let plain = run_sweep(&shared_prefix, &pool, &FleetCache::fresh());
         let forked = run_sweep(
             &shared_prefix.clone().with_fork(true),
@@ -838,9 +767,40 @@ mod tests {
             &FleetCache::fresh(),
         );
         assert_eq!(plain.report.to_json(), forked.report.to_json());
-        assert_eq!(plain.stats.kernel_sims, 4, "2 jobs x 2 configs");
-        assert_eq!(forked.stats.kernel_sims, 2, "2 jobs x 1 shared prefix");
-        assert!(forked.stats.summary().contains("kernel phase simulated"));
+        // 2 seeds x {conventional, full, full without bb_group}; the
+        // second cell's full-BB boots are served by the first's.
+        assert_eq!(plain.stats.kernel_sims, 6);
+        assert_eq!(forked.stats.kernel_sims, 6);
+        assert_eq!(forked.stats.cells_deduped, 2);
+    }
+
+    /// Two configs of one job with the same feature bits (what
+    /// `sweep --features none` builds: conventional vs an all-off
+    /// "bb") simulate once: the second is served by the outcome the
+    /// first just cached.
+    #[test]
+    fn a_job_dedups_its_own_repeated_configs() {
+        let spec = SweepSpec::new().cell(
+            CellSpec::tizen(
+                "tiny",
+                profiles::ue48h6200(),
+                TizenParams {
+                    services: 24,
+                    ..TizenParams::open_source()
+                },
+            )
+            .seeds([1, 2])
+            .config("conventional", BbConfig::conventional())
+            .config("bb", BbConfig::conventional()),
+        );
+        let pool = PoolConfig::with_workers(1);
+        let deduped = run_sweep(&spec, &pool, &FleetCache::fresh());
+        assert_eq!(deduped.stats.jobs, 2);
+        assert_eq!(deduped.stats.kernel_sims, 2);
+        assert_eq!(deduped.stats.cells_deduped, 2);
+        let plain = run_sweep(&spec.clone().with_dedup(false), &pool, &FleetCache::fresh());
+        assert_eq!(plain.stats.kernel_sims, 4);
+        assert_eq!(deduped.report.to_json(), plain.report.to_json());
     }
 
     #[test]
@@ -881,8 +841,8 @@ mod tests {
                 .seeds([1, 2])
                 .conventional_vs_bb(),
             );
-        // One worker makes the dedup count deterministic: jobs run in
-        // order, so cell b's 4 boots are all cache hits.
+        // One worker makes the dedup count deterministic: each seed's
+        // cell-a job runs first, so cell b's 4 boots are all cache hits.
         let deduped = run_sweep(&spec, &PoolConfig::with_workers(1), &FleetCache::fresh());
         let plain = run_sweep(
             &spec.clone().with_dedup(false),
@@ -896,37 +856,7 @@ mod tests {
         assert!(deduped.stats.summary().contains("deduplicated"));
     }
 
-    /// Plan compilation is per (scenario, config), not per boot: a
-    /// fixed cell booting the same template across seed slots compiles
-    /// each config once and reuses it from the cache.
-    #[test]
-    fn plan_cache_compiles_each_scenario_config_pair_once() {
-        use bb_workloads::tv_scenario_with;
-        let scenario = tv_scenario_with(
-            profiles::ue48h6200(),
-            TizenParams {
-                services: 24,
-                ..TizenParams::open_source()
-            },
-        );
-        // Dedup off so every slot really boots; the plan cache is the
-        // only sharing layer under test.
-        let spec = SweepSpec::new()
-            .cell(
-                CellSpec::fixed("pinned", scenario)
-                    .seeds([0, 1, 2])
-                    .conventional_vs_bb(),
-            )
-            .with_dedup(false);
-        let outcome = run_sweep(&spec, &PoolConfig::with_workers(1), &FleetCache::fresh());
-        assert!(outcome.report.failures.is_empty());
-        assert_eq!(outcome.report.total_boots, 6);
-        assert_eq!(outcome.stats.plans_compiled, 2, "one per config");
-        assert_eq!(outcome.stats.plan_cache_hits, 4, "remaining boots reuse");
-        assert!(outcome.stats.summary().contains("boot plans compiled"));
-    }
-
-    /// A caller-owned cache carries artifacts across sweeps: an
+    /// A caller-owned cache carries boot outcomes across sweeps: an
     /// identical second sweep simulates nothing and reports the same
     /// bytes.
     #[test]
@@ -940,29 +870,88 @@ mod tests {
         assert_eq!(first.stats.cells_deduped, 0);
         assert_eq!(second.stats.cells_deduped, 2);
         assert_eq!(second.stats.kernel_sims, 0);
-        assert_eq!(second.stats.plans_compiled, 0);
         cache.clear();
-        assert!(cache.plans().is_empty());
         let third = run_sweep(&spec, &pool, &cache);
         assert_eq!(third.stats.cells_deduped, 0, "clear() really clears");
     }
 
-    /// The checkpoint memo lives in the cache now: a second forked
-    /// sweep over the same cache resumes from the memoized kernel
-    /// snapshots without simulating the prefix again.
+    /// The ticket share lives exactly as long as the jobs that use it:
+    /// two cells over one source share each seed's scenario, and once
+    /// every job ran — completed or past its deadline — the share is
+    /// empty again.
     #[test]
-    fn checkpoints_carry_across_sweeps_through_the_cache() {
-        let spec = tiny_spec([1, 2]).with_fork(true).with_dedup(false);
-        let pool = PoolConfig::with_workers(1);
-        let cache = FleetCache::fresh();
-        let first = run_sweep(&spec, &pool, &cache);
-        assert_eq!(first.stats.kernel_sims, 4, "2 jobs x 2 prefix keys");
-        let second = run_sweep(&spec, &pool, &cache);
-        assert_eq!(
-            second.stats.kernel_sims, 0,
-            "every prefix resumes from the service-wide memo"
+    fn the_ticket_share_empties_when_its_jobs_end() {
+        for deadline in [None, Some(Duration::ZERO)] {
+            let mut spec = tiny_spec([1, 2]);
+            spec.cells.push(spec.cells[0].clone());
+            spec.deadline = deadline;
+            let plan = Plan::new(WorkItem::Sweep(spec));
+            assert_eq!(lock(&plan.share).len(), 2, "one entry per seed");
+            assert_eq!(
+                plan.order,
+                [0, 2, 1, 3],
+                "each seed's jobs run back to back"
+            );
+            let cache = FleetCache::default();
+            let mut builder = bb_sim::MachineBuilder::new();
+            let mut results = vec![plan.run_job(0, &cache, &mut builder)];
+            {
+                let share = lock(&plan.share);
+                let first = &share[&plan.fps[0]];
+                assert_eq!(first.uses, 1, "job 0 released its use");
+                assert!(
+                    first.built.get().is_some(),
+                    "and left the scenario for job 2"
+                );
+            }
+            results.extend(
+                plan.order[1..]
+                    .iter()
+                    .map(|&i| plan.run_job(i, &cache, &mut builder)),
+            );
+            assert!(lock(&plan.share).is_empty(), "{deadline:?}");
+            assert_eq!(
+                results.iter().filter(|r| r.is_ok()).count(),
+                if deadline.is_some() { 0 } else { 4 }
+            );
+        }
+    }
+
+    /// A chaos ticket's seed axis is innermost, so in flat order every
+    /// seed's scenario would stay built until the last plan and
+    /// corruption slot reached it. In the plan's order one worker holds
+    /// at most one built scenario, however many seeds the grid has.
+    #[test]
+    fn a_ticket_holds_one_built_scenario_per_job_in_flight() {
+        let spec = SweepSpec::new().cell(
+            CellSpec::tizen(
+                "tiny",
+                profiles::ue48h6200(),
+                TizenParams {
+                    services: 24,
+                    ..TizenParams::open_source()
+                },
+            )
+            .seeds(1..=8)
+            .fault_plans(2, 100)
+            .corruption_plans(1, 200)
+            .supervision(Some(Default::default()))
+            .conventional_vs_bb(),
         );
-        assert_eq!(first.report.to_json(), second.report.to_json());
+        let plan = Plan::new(WorkItem::Chaos(spec));
+        assert_eq!(plan.jobs.len(), 8 * 3 * 2);
+        assert_eq!(lock(&plan.share).len(), 8, "one entry per seed");
+        let cache = FleetCache::default();
+        let mut builder = bb_sim::MachineBuilder::new();
+        let mut peak = 0;
+        for &index in &plan.order {
+            plan.run_job(index, &cache, &mut builder)
+                .expect("chaos boots complete");
+            let share = lock(&plan.share);
+            peak = peak.max(share.values().filter(|s| s.built.get().is_some()).count());
+        }
+        assert_eq!(peak, 1);
+        assert!(lock(&plan.share).is_empty());
     }
 
     /// A metrics sweep must not be served span-less outcomes cached by

@@ -3,12 +3,13 @@
 //!
 //! A [`FleetService`] owns long-lived worker threads, a central bounded
 //! work queue with per-client round-robin fairness, and one shared
-//! [`FleetCache`] — so every ticket it executes shares compiled boot
-//! plans, memoized scenarios, deduplicated boot outcomes, and kernel
-//! checkpoints with every other ticket, across submissions and across
-//! clients. This is the fleet-scale shape the paper's deployment story
-//! implies: millions of near-identical boot jobs amortizing their
-//! shared artifacts, not one process per sweep.
+//! [`FleetCache`] of boot outcomes — so a sweep ticket replays every
+//! grid point any earlier ticket, of any client, already booted. Nothing
+//! else outlives a ticket: scenarios are shared only among the jobs of
+//! the ticket that builds them, each only while a run of that ticket's
+//! adjacent jobs boots it, and dropped when the ticket finalizes or is
+//! cancelled (see [`crate::pool`]). A long-lived service therefore
+//! holds the outcome map plus about one scenario per job in flight.
 //!
 //! The API is a ticketed work queue:
 //!
@@ -30,7 +31,8 @@
 //! lane per client and workers take one job from each non-empty lane in
 //! turn, so a client submitting a 10,000-job grid cannot starve a
 //! client submitting a 4-job one. Within a lane, jobs run in submission
-//! (slot) order.
+//! order, each ticket's jobs in its plan's order (slot order, with the
+//! jobs that share a scenario back to back).
 //!
 //! **Determinism** is untouched by any of this: results are aggregated
 //! per ticket into slots addressed by flat job index and finalized in
@@ -52,7 +54,6 @@ use crate::pool::{
     WorkerStats,
 };
 use crate::spec::{ChaosSpec, SweepSpec};
-use bb_core::PlanCacheStats;
 
 /// Identifies a submitting client. The serve layer assigns one per
 /// connection; in-process callers pick their own (quotas and fairness
@@ -120,13 +121,14 @@ impl ServiceConfig {
 #[derive(Debug, Clone)]
 pub enum WorkItem {
     /// A plain boot sweep: every job boots fault-free through the
-    /// shared [`FleetCache`] (see [`SweepSpec`]). Cells must keep their
-    /// fault axes at the pristine slot and carry no supervision; a job
-    /// that does not fails instead of booting.
+    /// shared dedup [`FleetCache`] (see [`SweepSpec`]). Cells must keep
+    /// their fault axes at the pristine slot and carry no supervision;
+    /// a job that does not fails instead of booting.
     Sweep(SweepSpec),
     /// A fault-injection run (see [`ChaosSpec`]): every job boots
     /// supervised under its fault-plan and corruption slots, sharing
-    /// no cached artifact.
+    /// its scenario with the ticket's other jobs of the same seed but
+    /// no boot outcome.
     Chaos(ChaosSpec),
 }
 
@@ -247,9 +249,13 @@ pub struct ServiceStats {
     pub queue_peak: usize,
     /// Kernel-phase simulations executed across all sweep tickets.
     pub kernel_sims: u64,
-    /// Boot plans compiled in the service's shared cache.
+    /// Always 0: the service keeps no plan cache — a repeated grid
+    /// point is served by dedup, so a shared plan cache never hit. The
+    /// field and its `bb-serve-stats-v1` key stay because the document
+    /// is schema-stamped and its consumers read every key.
     pub plans_compiled: u64,
-    /// Boots that reused an already-compiled plan.
+    /// Always 0, for the reason given on
+    /// [`plans_compiled`](Self::plans_compiled).
     pub plan_cache_hits: u64,
     /// Boots served from the dedup cache — including *cross-client*
     /// hits, when one client's grid overlaps another's.
@@ -307,7 +313,6 @@ struct Ticket {
     cancelled: bool,
     report: Option<ServiceReport>,
     started: Instant,
-    plans_before: PlanCacheStats,
     max_queue_depth: usize,
 }
 
@@ -393,15 +398,15 @@ struct Inner {
     totals: Mutex<Totals>,
 }
 
-// Lock discipline: `queue`, `tickets`, `worker_stats`, and `totals` are
-// never acquired in conflicting orders — `queue` is always taken alone,
-// and `worker_stats`/`totals` only ever nest *inside* `tickets` (in
-// accept/finalize). Waiters block on `done` holding `tickets`, which the
-// condvar releases.
+// Lock discipline: `queue`, `tickets`, `worker_stats`, `totals` and a
+// plan's scenario share are never acquired in conflicting orders —
+// `queue` is always taken alone, and `worker_stats`/`totals`/the share
+// only ever nest *inside* `tickets` (in accept/finalize/cancel). Waiters
+// block on `done` holding `tickets`, which the condvar releases.
 
 impl Inner {
     fn submit(&self, client: ClientId, item: WorkItem) -> Result<TicketId, SubmitError> {
-        let plan = Plan::new(item);
+        let plan = Arc::new(Plan::new(item));
         let total = plan.jobs.len();
         let id = self.next_ticket.fetch_add(1, Ordering::Relaxed);
         {
@@ -418,13 +423,12 @@ impl Inner {
                 id,
                 Ticket {
                     client,
-                    plan: Arc::new(plan),
+                    plan: Arc::clone(&plan),
                     agg: Some(Aggregator::new(total)),
                     remaining: total,
                     cancelled: false,
                     report: None,
                     started: Instant::now(),
-                    plans_before: self.cache.plans().stats(),
                     // The historical semantic: queue depth is at least
                     // this ticket's own job count.
                     max_queue_depth: total,
@@ -461,7 +465,7 @@ impl Inner {
                 });
             }
             let lane = q.lane(client);
-            for index in 0..total {
+            for &index in &plan.order {
                 lane.tasks.push_back(Task { ticket: id, index });
             }
             let depth = self.queued.fetch_add(total, Ordering::Relaxed) + total;
@@ -533,21 +537,7 @@ impl Inner {
     /// Builds the ticket's report (called with the ticket lock held).
     fn finalize_ticket(&self, t: &mut Ticket) {
         let agg = t.agg.take().expect("tickets finalize exactly once");
-        let plans = self.cache.plans().stats();
-        // Counter deltas around this ticket; exact when the ticket ran
-        // alone, approximate when concurrent tickets compiled plans
-        // meanwhile. Chaos boots share no cached artifacts, so none of
-        // the delta is theirs.
-        let (plans_compiled, plan_cache_hits) = if t.plan.chaos {
-            (0, 0)
-        } else {
-            (
-                plans
-                    .plans_compiled
-                    .saturating_sub(t.plans_before.plans_compiled),
-                plans.hits.saturating_sub(t.plans_before.hits),
-            )
-        };
+        t.plan.drop_share();
         let stats = PoolStats {
             workers: self.workers,
             wall: t.started.elapsed(),
@@ -556,8 +546,6 @@ impl Inner {
             restarts: agg.restarts,
             kernel_sims: agg.kernel_sims,
             peak_events: agg.peak_events,
-            plans_compiled,
-            plan_cache_hits,
             cells_deduped: agg.deduped,
             recoveries: agg.recoveries,
             artifacts_rejected: agg.artifacts_rejected,
@@ -653,6 +641,7 @@ impl Inner {
             return false;
         }
         t.cancelled = true;
+        t.plan.drop_share();
         // The quota slot frees immediately: a cancelled ticket is no
         // longer "pending" even while in-flight jobs drain.
         if let Some(p) = table.pending.get_mut(&t.client) {
@@ -665,8 +654,9 @@ impl Inner {
     }
 
     fn stats(&self) -> ServiceStats {
+        let queue_peak = lock(&self.queue).peak;
         let totals = lock(&self.totals);
-        let snapshot = ServiceStats {
+        ServiceStats {
             workers: self.workers,
             clients: totals.clients.len(),
             tickets_submitted: totals.tickets_submitted,
@@ -674,7 +664,7 @@ impl Inner {
             tickets_cancelled: totals.tickets_cancelled,
             jobs_executed: totals.jobs_executed,
             queue_depth: self.queued.load(Ordering::Relaxed),
-            queue_peak: 0,
+            queue_peak,
             kernel_sims: totals.kernel_sims,
             plans_compiled: 0,
             plan_cache_hits: 0,
@@ -682,14 +672,6 @@ impl Inner {
             restarts: totals.restarts,
             recoveries: totals.recoveries,
             artifacts_rejected: totals.artifacts_rejected,
-        };
-        drop(totals);
-        let plans = self.cache.plans().stats();
-        ServiceStats {
-            queue_peak: lock(&self.queue).peak,
-            plans_compiled: plans.plans_compiled,
-            plan_cache_hits: plans.hits,
-            ..snapshot
         }
     }
 }
@@ -752,9 +734,9 @@ impl FleetService {
         FleetService::with_cache(config, FleetCache::fresh())
     }
 
-    /// Starts a service over an existing cache — shared artifacts
-    /// survive service restarts, and multiple services can (read: tests
-    /// do) share one cache.
+    /// Starts a service over an existing cache — boot outcomes survive
+    /// service restarts, and multiple services can (read: tests do)
+    /// share one cache.
     pub fn with_cache(config: ServiceConfig, cache: Arc<FleetCache>) -> Self {
         let workers = config.workers.max(1);
         let inner = Arc::new(Inner {
@@ -789,11 +771,6 @@ impl FleetService {
             })
             .collect();
         FleetService { inner, handles }
-    }
-
-    /// The service's shared artifact cache.
-    pub fn cache(&self) -> &Arc<FleetCache> {
-        &self.inner.cache
     }
 
     /// Enqueues a work item for `client` and returns its ticket.

@@ -19,7 +19,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bb_core::booster::Scenario;
-use bb_core::{BbConfig, FallbackPolicy, PreParser};
+use bb_core::{with_supervision, BbConfig, FallbackPolicy, PreParser};
 use bb_init::RestartPolicy;
 use bb_sim::{fnv1a, FNV1A_OFFSET, FNV1A_PRIME};
 use bb_workloads::{tv_scenario_with, MachineProfile, TizenParams};
@@ -216,13 +216,13 @@ pub struct SweepSpec {
     /// Collect per-boot telemetry spans ([`bb_core::boot_spans`]) and
     /// aggregate them into a [`crate::MetricsReport`] (`bb-metrics-v1`).
     pub metrics: bool,
-    /// Fork each job's boots from a shared kernel checkpoint: the boot
-    /// prefix (through the kernel→init handoff) is simulated once per
-    /// distinct [`BbConfig::prefix_key`] and every config resumes from
-    /// the saved [`bb_core::Checkpoint`] instead of re-simulating it.
-    /// Reports are byte-identical to an unforked sweep — resuming a
-    /// checkpoint replays the exact prefix timeline — the sweep just
-    /// does less work (see `PoolStats::kernel_sims`).
+    /// Accepted, and changes nothing: the fleet boots every config
+    /// plain. A kernel-prefix fork ([`bb_core::Checkpoint`]) pays only
+    /// where its save and restore cost less than the prefix they skip,
+    /// and at 136 services they do not (0.032 + 0.044 ms against a
+    /// 0.029 ms prefix, p50, traced on `sweep-served`). Callers that
+    /// set it (`--fork-from kernel-handoff`) get the plain sweep's
+    /// report, byte for byte.
     pub fork: bool,
     /// Deduplicate identical grid points: two boots with the same
     /// (scenario identity × seed × config) — across cells, across
@@ -276,7 +276,7 @@ impl SweepSpec {
         self
     }
 
-    /// Enables checkpoint-forked boots (see [`SweepSpec::fork`]).
+    /// Sets [`SweepSpec::fork`] (a no-op in the fleet).
     pub fn with_fork(mut self, fork: bool) -> Self {
         self.fork = fork;
         self
@@ -315,20 +315,6 @@ impl SweepSpec {
         }
         jobs
     }
-
-    /// Builds the per-cell shared templates: for `Fixed` cells the
-    /// scenario and its [`PreParser`] are measured once here and shared
-    /// by every job; `Tizen` cells are seed-dependent and must build
-    /// per job.
-    pub(crate) fn shared_templates(&self) -> Vec<Option<(Arc<Scenario>, PreParser)>> {
-        self.cells
-            .iter()
-            .map(|c| match &c.source {
-                ScenarioSource::Fixed(s) => Some((Arc::clone(s), PreParser::build(&s.units))),
-                ScenarioSource::Tizen { .. } => None,
-            })
-            .collect()
-    }
 }
 
 /// One unit of pool work: all configs of one `(cell, plan, corruption,
@@ -345,11 +331,12 @@ pub struct Job {
     pub seed_idx: usize,
 }
 
-/// Content fingerprint of a cell's scenario *source*: `(hash,
-/// seed_dependent)`. Two cells with equal fingerprints instantiate
-/// identical scenarios for equal seeds — the sharing key behind the
-/// sweep-wide scenario memo, the cross-job checkpoint memo, and grid
-/// dedup (see [`SweepSpec::dedup`]).
+/// Content fingerprint of a cell's scenario *source* and supervision
+/// overlay: `(hash, seed_dependent)`. Two cells with equal fingerprints
+/// instantiate identical scenarios for equal seeds — the key of a
+/// ticket's scenario share and of grid dedup (see [`SweepSpec::dedup`]).
+/// An unsupervised cell hashes its source alone; a supervised one also
+/// mixes in its [`Supervision`], which rewrites every service unit.
 ///
 /// `Tizen` sources hash the profile and the parameters with the seed
 /// field canonicalized to zero (the per-job seed is mixed in by
@@ -358,18 +345,25 @@ pub struct Job {
 /// scenario content itself and are seed-independent: every seed slot
 /// boots the very same template.
 pub(crate) fn cell_fingerprint(cell: &CellSpec) -> (u64, bool) {
+    let overlay = cell
+        .supervision
+        .map_or(String::new(), |s| format!("|{s:?}"));
     match &cell.source {
         ScenarioSource::Tizen { profile, params } => {
             let canonical = TizenParams { seed: 0, ..*params };
             let h = fnv1a(
                 FNV1A_OFFSET,
                 FNV1A_PRIME,
-                format!("{profile:?}|{canonical:?}").as_bytes(),
+                format!("{profile:?}|{canonical:?}{overlay}").as_bytes(),
             );
             (h, true)
         }
         ScenarioSource::Fixed(s) => (
-            fnv1a(FNV1A_OFFSET, FNV1A_PRIME, format!("{s:?}").as_bytes()),
+            fnv1a(
+                FNV1A_OFFSET,
+                FNV1A_PRIME,
+                format!("{s:?}{overlay}").as_bytes(),
+            ),
             false,
         ),
     }
@@ -385,22 +379,28 @@ pub(crate) fn job_fingerprint(base: u64, seed_dependent: bool, seed: u64) -> u64
     }
 }
 
-/// Materializes the scenario a job boots: the shared template for
-/// `Fixed` cells, a freshly generated instance for `Tizen` cells.
-pub(crate) fn job_scenario(
-    cell: &CellSpec,
-    seed: u64,
-    shared: &Option<(Arc<Scenario>, PreParser)>,
-) -> (Arc<Scenario>, PreParser) {
-    match (&cell.source, shared) {
-        (ScenarioSource::Fixed(_), Some(tpl)) => tpl.clone(),
-        (ScenarioSource::Tizen { profile, params }, _) => {
-            let scenario = tv_scenario_with(*profile, TizenParams { seed, ..*params });
-            let pre = PreParser::build(&scenario.units);
-            (Arc::new(scenario), pre)
+/// Materializes the scenario a job boots — the cell's fixed scenario
+/// (shared, not cloned) or a freshly generated instance, with the
+/// supervision overlay applied — and measures its [`PreParser`]. Sweep
+/// and chaos jobs alike boot what this returns.
+pub(crate) fn job_scenario(cell: &CellSpec, seed: u64) -> (Arc<Scenario>, PreParser) {
+    let scenario = match &cell.source {
+        ScenarioSource::Fixed(s) => Arc::clone(s),
+        ScenarioSource::Tizen { profile, params } => {
+            Arc::new(tv_scenario_with(*profile, TizenParams { seed, ..*params }))
         }
-        (ScenarioSource::Fixed(s), None) => (Arc::clone(s), PreParser::build(&s.units)),
-    }
+    };
+    let scenario = match cell.supervision {
+        Some(s) => Arc::new(with_supervision(
+            &scenario,
+            s.restart,
+            s.restart_sec_ms,
+            s.start_limit_burst,
+        )),
+        None => scenario,
+    };
+    let pre = PreParser::build(&scenario.units);
+    (scenario, pre)
 }
 
 #[cfg(test)]
@@ -488,8 +488,8 @@ mod tests {
     #[test]
     fn tizen_jobs_regenerate_per_seed() {
         let cell = small_cell().seeds([10, 11]).conventional_vs_bb();
-        let (a, _) = job_scenario(&cell, 10, &None);
-        let (b, _) = job_scenario(&cell, 11, &None);
+        let (a, _) = job_scenario(&cell, 10);
+        let (b, _) = job_scenario(&cell, 11);
         // Different seeds draw different service durations.
         assert_ne!(
             format!("{:?}", a.workloads),
@@ -527,6 +527,10 @@ mod tests {
         );
         assert_ne!(cell_fingerprint(&other).0, fa);
 
+        // A supervision overlay rewrites the service units: it splits.
+        let supervised = small_cell().supervision(Some(Supervision::default()));
+        assert_ne!(cell_fingerprint(&supervised).0, fa);
+
         // Seeds split seed-dependent sources, never fixed ones.
         assert_ne!(job_fingerprint(fa, true, 1), job_fingerprint(fa, true, 2));
         assert_eq!(job_fingerprint(fa, false, 1), job_fingerprint(fa, false, 2));
@@ -560,9 +564,8 @@ mod tests {
                 .seeds([0, 1, 2])
                 .config("bb", BbConfig::full()),
         );
-        let shared = spec.shared_templates();
-        let (a, pre_a) = job_scenario(&spec.cells[0], 0, &shared[0]);
-        let (b, pre_b) = job_scenario(&spec.cells[0], 1, &shared[0]);
+        let (a, pre_a) = job_scenario(&spec.cells[0], 0);
+        let (b, pre_b) = job_scenario(&spec.cells[0], 1);
         assert!(
             Arc::ptr_eq(&a, &b),
             "fixed cells must not clone the scenario"

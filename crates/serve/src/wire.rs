@@ -105,7 +105,8 @@ pub struct SweepArgs {
     /// `--deadline-ms N`: per-job wall-clock deadline (sweep) or the
     /// boot-supervisor deadline (chaos).
     pub deadline_ms: Option<u64>,
-    /// `--fork-from kernel-handoff` (sweep).
+    /// `--fork-from kernel-handoff` (sweep; accepted, see
+    /// [`bb_fleet::SweepSpec::fork`]).
     pub fork: bool,
     /// Negated `--no-dedup` (sweep).
     pub dedup: bool,

@@ -10,9 +10,9 @@
 # that fails midway leaves the tree untouched. CI hosts are noisy
 # and shared, so the tolerance is deliberately loose: this gate catches
 # "someone made the engine 2x slower", not single-digit drift.
-# Deterministic counters (storm events, kernel sims, dedup and
-# plan-cache counts) are gated exactly — they move only when the
-# simulation or the sharing layer itself changes.
+# Deterministic counters (storm events, kernel sims and dedup counts)
+# are gated exactly — they move only when the simulation or the
+# sharing layer itself changes.
 #
 # Usage:
 #   scripts/bench_smoke.sh            # 20% tolerance, 50 iters
@@ -81,8 +81,7 @@ HOTPATH_FIELDS="storm_events events_per_sec full_boots_per_sec \
     speedup_full speedup_hotpath"
 SWEEP_FIELDS="cells boots cells_per_sec cells_per_sec_no_dedup \
     baseline_plain_cells_per_sec baseline_forked_cells_per_sec \
-    speedup speedup_no_dedup kernel_sims cells_deduped \
-    plans_compiled plan_cache_hits"
+    speedup speedup_no_dedup kernel_sims cells_deduped"
 
 for b in hotpath sweep; do
     [ -f "BENCH_$b.json" ] || {
@@ -131,8 +130,6 @@ committed_cells="$(field cells_per_sec "$BASELINE")"
 committed_nodedup="$(field cells_per_sec_no_dedup "$BASELINE")"
 committed_sims="$(field kernel_sims "$BASELINE")"
 committed_deduped="$(field cells_deduped "$BASELINE")"
-committed_plans="$(field plans_compiled "$BASELINE")"
-committed_hits="$(field plan_cache_hits "$BASELINE")"
 
 echo "==> running sweep bench ($ITERS iters)"
 rm -f "target/$BASELINE"
@@ -146,16 +143,12 @@ fresh_cells="$(field cells_per_sec "target/$BASELINE")"
 fresh_nodedup="$(field cells_per_sec_no_dedup "target/$BASELINE")"
 fresh_sims="$(field kernel_sims "target/$BASELINE")"
 fresh_deduped="$(field cells_deduped "target/$BASELINE")"
-fresh_plans="$(field plans_compiled "target/$BASELINE")"
-fresh_hits="$(field plan_cache_hits "target/$BASELINE")"
 
 # The sharing layer is deterministic on a 1-worker pool: the work
 # counters must not move at all.
 blesshint="the sharing layer changed, re-bless BENCH_sweep.json deliberately (see the header)"
 exact kernel_sims "$fresh_sims" "$committed_sims" "$blesshint"
 exact cells_deduped "$fresh_deduped" "$committed_deduped" "$blesshint"
-exact plans_compiled "$fresh_plans" "$committed_plans" "$blesshint"
-exact plan_cache_hits "$fresh_hits" "$committed_hits" "$blesshint"
 
 echo "==> sweep regression gate (${TOLERANCE}% tolerance)"
 gate cells_per_sec "$fresh_cells" "$committed_cells"

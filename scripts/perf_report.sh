@@ -45,14 +45,12 @@ for f in BENCH_*.json; do
             "$(field speedup "$f")"
         ;;
     bb-sweep-v1)
-        row "sweep (fork+cache+dedup)" "$(field cells_per_sec "$f")" cells/s \
+        row "sweep (fork+dedup)" "$(field cells_per_sec "$f")" cells/s \
             "$(field speedup "$f")"
-        row "sweep (plan cache only)" "$(field cells_per_sec_no_dedup "$f")" cells/s \
+        row "sweep (no dedup)" "$(field cells_per_sec_no_dedup "$f")" cells/s \
             "$(field speedup_no_dedup "$f")"
         row "kernel sims / 60 boots" "$(field kernel_sims "$f")" sims
         row "boots deduplicated" "$(field cells_deduped "$f")" boots
-        row "plans compiled / hits" \
-            "$(field plans_compiled "$f")/$(field plan_cache_hits "$f")" plans
         ;;
     *)
         echo "    (unknown schema — fields not summarized)"

@@ -35,9 +35,8 @@
 //! ```
 //!
 //! `serve` runs the persistent fleet service: one shared cache of
-//! compiled plans, memoized scenarios, deduplicated boots, and kernel
-//! checkpoints across every job any client submits. `submit` speaks
-//! the `bb-serve-v1` NDJSON protocol to it; a submitted sweep's
+//! deduplicated boot outcomes across every job any client submits.
+//! `submit` speaks the `bb-serve-v1` NDJSON protocol to it; a submitted sweep's
 //! `--json` output is byte-identical to the in-process
 //! `bbsim sweep --json` for the same flags. `submit --stats` prints
 //! the service's `bb-serve-stats-v1` counters; `submit --shutdown`
@@ -65,18 +64,17 @@
 //! `LIST` is a comma-separated subset of: rcu-booster, defer-memory,
 //! modularizer, defer-journal, deferred-executor, preparser, bb-group.
 //!
-//! `sweep --fork-from kernel-handoff` forks each job's boots from a
-//! shared kernel checkpoint ([`bb_core::Checkpoint`]): the boot prefix
-//! is simulated once per distinct prefix key and every config resumes
-//! from the saved snapshot. Output is byte-identical to the unforked
-//! sweep; the pool summary shows how many kernel simulations ran.
+//! `sweep --fork-from kernel-handoff` is accepted and boots every config
+//! plain: at the default 136 services a kernel checkpoint's save and
+//! restore cost more than the prefix it skips. Output is byte-identical
+//! to the unforked sweep; the pool summary shows how many kernel
+//! simulations ran.
 //!
 //! `sweep` deduplicates identical grid points by default: two boots
 //! with the same (scenario content × seed × config) are simulated once
-//! and the deterministic result is fanned out, with compiled boot plans
-//! shared through a [`bb_core::PlanCache`]. Output stays byte-identical
-//! (the pool summary shows dedup and plan-cache counts); `--no-dedup`
-//! forces every grid point to re-simulate.
+//! and the deterministic result is fanned out. Output stays
+//! byte-identical (the pool summary shows the dedup count);
+//! `--no-dedup` forces every grid point to re-simulate.
 //!
 //! `suspend` compares the three power paths of §2.1 on one scenario: it
 //! boots the conventional and full-BB shapes, snapshots the booted

@@ -201,6 +201,59 @@ fn chaos_report_matches_the_golden_bytes() {
     }
 }
 
+/// The sweep bench's grid (`crates/bench/benches/sweep.rs`): 15
+/// ablation cells over one 136-service source, 2 seeds, 60 boots.
+fn ablation_grid() -> SweepSpec {
+    let params = TizenParams {
+        services: 136,
+        ..TizenParams::open_source()
+    };
+    let cell = |label: String| CellSpec::tizen(label, profiles::ue48h6200(), params).seeds(0..2);
+    let mut spec = SweepSpec::new().cell(
+        cell("baseline".into())
+            .config("conventional", BbConfig::conventional())
+            .config("bb", BbConfig::full()),
+    );
+    let ablations = BbConfig::single_feature_configs()
+        .into_iter()
+        .map(|(name, cfg)| (format!("only-{name}"), name.to_owned(), cfg))
+        .chain(
+            BbConfig::leave_one_out_configs()
+                .into_iter()
+                .map(|(name, cfg)| (format!("without-{name}"), format!("no-{name}"), cfg)),
+        );
+    for (label, config, cfg) in ablations {
+        spec = spec.cell(
+            cell(label)
+                .config("conventional", BbConfig::conventional())
+                .config(config, cfg),
+        );
+    }
+    spec
+}
+
+/// On one worker the grid's work counters are exact: each seed boots
+/// its 16 distinct configs once (dedup serves the other 14 grid points),
+/// and the fork flag changes nothing: every boot runs plain. Neither
+/// flag moves the report.
+#[test]
+fn ablation_grid_counters_are_exact_and_sharing_never_moves_the_report() {
+    let spec = ablation_grid();
+    assert_eq!((spec.cells.len(), spec.total_boots()), (15, 60));
+    let pool = PoolConfig::with_workers(1);
+    let forked = run_sweep(&spec.clone().with_fork(true), &pool, &FleetCache::fresh());
+    assert!(forked.report.failures.is_empty());
+    assert_eq!(forked.stats.kernel_sims, 32);
+    assert_eq!(forked.stats.cells_deduped, 28);
+    let plain = run_sweep(&spec, &pool, &FleetCache::fresh());
+    let no_dedup = run_sweep(&spec.clone().with_dedup(false), &pool, &FleetCache::fresh());
+    assert_eq!(no_dedup.stats.kernel_sims, 60);
+    assert_eq!(no_dedup.stats.cells_deduped, 0);
+    let want = forked.report.to_json();
+    assert_eq!(plain.report.to_json(), want, "plain vs forked");
+    assert_eq!(no_dedup.report.to_json(), want, "no-dedup vs forked");
+}
+
 #[test]
 fn panicking_job_is_reported_and_sweep_completes() {
     // A scenario whose completion unit does not exist panics inside the
