@@ -48,8 +48,10 @@ fn side(name: &'static str, rcu_booster: bool) -> Side {
         rcu_booster,
         ..BbConfig::conventional()
     };
+    // Telemetry records the core spans the chart's CPU row reads.
     let boot = BootRequest::new(&scenario)
         .config(cfg)
+        .telemetry(true)
         .run()
         .expect("scenario valid");
     let (report, machine) = (boot.report, boot.machine);

@@ -44,7 +44,8 @@ pub struct Fig7 {
 fn measure(name: &'static str, isolate_var_mount: bool) -> Side {
     let scenario = tv_scenario();
     let cfg = BbConfig::conventional();
-    let mut request = BootRequest::new(&scenario).config(cfg);
+    // Telemetry records the core spans the chart's CPU row reads.
+    let mut request = BootRequest::new(&scenario).config(cfg).telemetry(true);
     if isolate_var_mount {
         request = request.tweak(|graph, transaction, overrides| {
             let var = graph.idx_of("var.mount");

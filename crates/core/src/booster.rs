@@ -108,7 +108,8 @@ impl FullBootReport {
 
 /// One boot of a [`Scenario`], as returned by [`BootRequest::run`]: the
 /// measured report plus the machine whose trace produced it (for
-/// bootcharts, chrome traces, and pass spans).
+/// bootcharts, chrome traces, and pass spans; the machine carries core
+/// spans only when the request had [`BootRequest::telemetry`] on).
 #[derive(Debug)]
 pub struct Boot {
     /// Everything measured from the boot.
@@ -333,8 +334,11 @@ impl<'s> BootRequest<'s> {
     }
 
     /// Arms the machine's metrics sink (RCU waits, run-queue depth, I/O
-    /// latency histograms; see [`bb_sim::telemetry`]). Off by default —
-    /// and guaranteed not to perturb the timeline when on.
+    /// latency histograms; see [`bb_sim::telemetry`]) and its core-span
+    /// recording ([`bb_sim::Trace::spans`], one span per scheduling
+    /// slice), which bootcharts and Chrome traces read. Off by default,
+    /// so a boot writes neither; guaranteed not to perturb the timeline
+    /// when on.
     pub fn telemetry(mut self, enabled: bool) -> Self {
         self.telemetry = enabled;
         self

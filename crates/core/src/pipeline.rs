@@ -699,9 +699,9 @@ impl Pipeline {
 /// Executes a (pass-transformed) plan end to end: the boot prefix
 /// (kernel boot, RCU Booster Control, module handling) then the suffix
 /// (the init scheme via [`bb_init::run_boot`]) on a fresh machine,
-/// fault-free and with telemetry off. [`crate::BootRequest::run`] is
-/// the same composition over a resolved plan, with its faults,
-/// telemetry and machine pool.
+/// fault-free and with telemetry off, so the machine records no core
+/// spans. [`crate::BootRequest::run`] is the same composition over a
+/// resolved plan, with its faults, telemetry and machine pool.
 pub fn execute(ir: &BootPlanIr, deltas: Vec<PassDelta>) -> (FullBootReport, Machine) {
     let (machine, kernel, device) = execute_prefix(ir, &bb_sim::FaultPlan::none(), false, None);
     execute_suffix(ir, deltas, machine, kernel, device)
@@ -715,10 +715,13 @@ pub fn execute(ir: &BootPlanIr, deltas: Vec<PassDelta>) -> (FullBootReport, Mach
 /// machine itself are the kernel report and the boot-storage device.
 ///
 /// `faults` are installed before the kernel boots (the empty plan is a
-/// strict no-op) and the telemetry sink is armed when asked (it never
-/// perturbs the timeline). The machine comes from `builder` when one is
-/// supplied (allocation reuse across boots; recycled machines are
-/// observationally identical to fresh ones).
+/// strict no-op). With `telemetry` the metrics sink is armed and the
+/// machine records a core span per scheduling slice, for bootcharts and
+/// Chrome traces; without it neither is written, because nothing on
+/// the boot path reads them. Neither perturbs the timeline. The
+/// machine comes from `builder` when one is supplied (allocation reuse
+/// across boots; recycled machines are observationally identical to
+/// fresh ones).
 pub(crate) fn execute_prefix(
     ir: &BootPlanIr,
     faults: &bb_sim::FaultPlan,
@@ -731,6 +734,8 @@ pub(crate) fn execute_prefix(
     };
     if telemetry {
         machine.enable_telemetry();
+    } else {
+        machine.disable_span_recording();
     }
     let device = machine.add_device("boot-storage", ir.storage);
     machine.install_fault_plan(faults);

@@ -444,7 +444,7 @@ pub fn run_boot(
             prev_ready,
         );
         manager_ops.push(Op::Compute(cfg.costs.dispatch_cpu_per_job));
-        manager_ops.push(Op::Spawn(spec));
+        manager_ops.push(Op::Spawn(Box::new(spec)));
         // TimeoutStartSec=: a watchdog forces the readiness flag when the
         // timeout expires, so dependents are released even if the service
         // hangs (recorded as `timed_out` when the watchdog fired first).
@@ -453,7 +453,7 @@ pub fn run_boot(
         let timeout_ms = graph.unit(j).exec.timeout_ms;
         if timeout_ms > 0 {
             has_timeouts = true;
-            manager_ops.push(Op::Spawn(ProcessSpec::new(
+            manager_ops.push(Op::Spawn(Box::new(ProcessSpec::new(
                 format!("timeout:{}", graph.unit(j).name),
                 vec![
                     Op::TimedWaitFlag {
@@ -462,7 +462,7 @@ pub fn run_boot(
                     },
                     Op::SetFlag(ready_flags[&j]),
                 ],
-            )));
+            ))));
         }
         // Restart=/OnFailure= supervision: a crashed incarnation sets
         // `fault:crashed:<name>` (see bb-sim fault injection); a chain of
@@ -498,7 +498,7 @@ pub fn run_boot(
                 if exec.restart_sec_ms > 0 {
                     w_ops.push(Op::Sleep(SimDuration::from_millis(exec.restart_sec_ms)));
                 }
-                w_ops.push(Op::Spawn(respawn));
+                w_ops.push(Op::Spawn(Box::new(respawn)));
                 machine.spawn(
                     ProcessSpec::new(format!("restart:{attempt}"), w_ops)
                         .with_nice(cfg.costs.manager_nice),
@@ -513,13 +513,13 @@ pub fn run_boot(
             } else {
                 for target in &graph.unit(j).on_failure {
                     let target_ready = machine.flag(format!("ready:{target}"));
-                    w_ops.push(Op::Spawn(escalation_spec(
+                    w_ops.push(Op::Spawn(Box::new(escalation_spec(
                         graph,
                         workloads,
                         cfg,
                         target,
                         target_ready,
-                    )));
+                    ))));
                 }
                 let flag = machine.flag(format!("escalated:{unit_name}"));
                 w_ops.push(Op::SetFlag(flag));
@@ -541,9 +541,9 @@ pub fn run_boot(
             ops.push(Op::WaitFlag(boot_complete));
         }
         ops.push(Op::Compute(task.cost));
-        manager_ops.push(Op::Spawn(
+        manager_ops.push(Op::Spawn(Box::new(
             ProcessSpec::new(format!("systemd:{}", task.name), ops).with_nice(0),
-        ));
+        )));
     }
     machine
         .spawn(ProcessSpec::new("systemd-manager", manager_ops).with_nice(cfg.costs.manager_nice));

@@ -29,7 +29,9 @@ fn escape(s: &str) -> String {
 /// Renders the machine's trace in Chrome trace-event JSON array format.
 ///
 /// Load the output in `chrome://tracing` or Perfetto. Span recording
-/// must be enabled on the machine (it is by default).
+/// must be enabled on the machine: it is on a [`Machine::new`] machine,
+/// and a boot run through bb-core records spans only when its request
+/// has telemetry on.
 pub fn chrome_trace(machine: &Machine) -> String {
     let mut out = String::from("[\n");
     let mut first = true;

@@ -20,7 +20,8 @@
 //! (nice, arrival sequence); two runs of the same scenario produce
 //! identical traces.
 
-use std::collections::VecDeque;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, VecDeque};
 
 use smallvec::SmallVec;
 
@@ -217,10 +218,11 @@ pub struct Machine {
     pub(crate) ready_seq: u64,
     pub(crate) devices: Vec<Device>,
     pub(crate) flags: Vec<FlagState>,
-    /// String→flag interner: flag ids sorted by flag name, binary-
-    /// searched on (re)interning. Names are interned once at build time;
-    /// the simulation loop itself only ever touches `FlagId` indices.
-    pub(crate) flag_lookup: Vec<FlagId>,
+    /// String→flag interner, O(1) per (re)interned name. Names are
+    /// interned once at build time; the simulation loop itself only ever
+    /// touches `FlagId` indices. Ids stay in creation order, so the
+    /// index is derived state that snapshots do not carry.
+    pub(crate) flag_index: HashMap<String, FlagId>,
     pub(crate) rcu: RcuEngine,
     pub(crate) trace: Trace,
     pub(crate) pending_spawns: Vec<Option<ProcessSpec>>,
@@ -255,7 +257,7 @@ impl Machine {
             ready_seq: 0,
             devices: Vec::new(),
             flags: Vec::new(),
-            flag_lookup: Vec::new(),
+            flag_index: HashMap::new(),
             trace: Trace::new(),
             pending_spawns: Vec::new(),
             work: Vec::new(),
@@ -299,7 +301,7 @@ impl Machine {
         self.ready_seq = 0;
         self.devices.clear();
         self.flags.clear();
-        self.flag_lookup.clear();
+        self.flag_index.clear();
         self.trace.reset();
         self.pending_spawns.clear();
         self.work.clear();
@@ -324,7 +326,9 @@ impl Machine {
         &self.trace
     }
 
-    /// Disables core-span recording (for very long runs).
+    /// Disables core-span recording. Only bootcharts, Chrome traces and
+    /// utilization queries read spans, so a run nobody charts skips
+    /// writing one per scheduling slice. The timeline is unaffected.
     pub fn disable_span_recording(&mut self) {
         self.trace.record_spans = false;
     }
@@ -388,29 +392,18 @@ impl Machine {
     /// returned `FlagId` is a plain index and the name is never hashed
     /// or compared again.
     pub fn flag(&mut self, name: impl Into<String>) -> FlagId {
-        let name = name.into();
-        match self.lookup_flag(&name) {
-            Ok(id) => id,
-            Err(slot) => {
+        match self.flag_index.entry(name.into()) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
                 let id = FlagId::from_raw(self.flags.len() as u32);
                 self.flags.push(FlagState {
-                    name,
+                    name: e.key().clone(),
                     set_at: None,
                     waiters: SmallVec::new(),
                 });
-                self.flag_lookup.insert(slot, id);
-                id
+                *e.insert(id)
             }
         }
-    }
-
-    /// Binary-searches the name interner. `Ok(id)` if interned,
-    /// `Err(insertion_slot)` otherwise.
-    fn lookup_flag(&self, name: &str) -> Result<FlagId, usize> {
-        let flags = &self.flags;
-        self.flag_lookup
-            .binary_search_by(|&id| flags[id.index()].name.as_str().cmp(name))
-            .map(|i| self.flag_lookup[i])
     }
 
     /// Name of a flag.
@@ -1048,7 +1041,7 @@ impl Machine {
                     let Some(Op::Spawn(spec)) = self.procs[pid.index()].ops.pop_front() else {
                         unreachable!("front op changed under us");
                     };
-                    let child = self.add_process(spec);
+                    let child = self.add_process(*spec);
                     self.work.push(child);
                 }
                 Some(&Op::Yield) => {
@@ -1288,7 +1281,7 @@ impl Machine {
             procs,
             running,
             flags,
-            flag_lookup,
+            flag_index,
             trace,
             pending_spawns,
             work,
@@ -1299,7 +1292,12 @@ impl Machine {
         graft(&mut self.procs, procs);
         graft(&mut self.running, running);
         graft(&mut self.flags, flags);
-        graft(&mut self.flag_lookup, flag_lookup);
+        if flag_index.capacity() > self.flag_index.capacity() {
+            let mut index = flag_index;
+            index.clear();
+            index.extend(self.flag_index.drain());
+            self.flag_index = index;
+        }
         graft(&mut self.trace.events, trace.events);
         graft(&mut self.trace.spans, trace.spans);
         graft(&mut self.pending_spawns, pending_spawns);

@@ -101,7 +101,11 @@ pub enum Op {
     SetFlag(FlagId),
     /// Spawn a child process that becomes ready immediately. Free; the
     /// fork cost, if any, should be modelled as an explicit `Compute`.
-    Spawn(ProcessSpec),
+    ///
+    /// The spec is boxed so that an op stays 24 bytes: programs, their
+    /// per-job clones and every process queue pay for the spec only
+    /// where a spawn actually is.
+    Spawn(Box<ProcessSpec>),
     /// Relinquish the core and go to the back of the ready queue.
     Yield,
     /// Switch the machine's RCU waiter mode. Free.
@@ -111,6 +115,8 @@ pub enum Op {
     /// control process disables it at boot completion (§3.2).
     SetRcuMode(crate::rcu::RcuMode),
 }
+
+const _: () = assert!(std::mem::size_of::<Op>() <= 24);
 
 /// Static description of a process: what to run and how urgent it is.
 #[derive(Debug, Clone, PartialEq)]
@@ -371,7 +377,7 @@ impl OpsBuilder {
 
     /// Appends a child spawn.
     pub fn spawn(mut self, spec: ProcessSpec) -> Self {
-        self.ops.push(Op::Spawn(spec));
+        self.ops.push(Op::Spawn(Box::new(spec)));
         self
     }
 

@@ -52,6 +52,7 @@
 //! * **Derived state is rebuilt, not stored.** The flag name index is
 //!   reconstructed from the flag table on restore.
 
+use std::collections::HashMap;
 use std::fmt;
 
 use smallvec::SmallVec;
@@ -425,9 +426,13 @@ pub fn restore(bytes: &[u8]) -> Result<Machine, SnapshotError> {
     }
     sec.finish()?;
     // The name interner is derived state (not serialized): rebuild it
-    // by sorting the flag ids by name.
-    let mut flag_lookup: Vec<FlagId> = (0..flags.len() as u32).map(FlagId::from_raw).collect();
-    flag_lookup.sort_by(|a, b| flags[a.index()].name.cmp(&flags[b.index()].name));
+    // from the flags in id order, the first id of a name winning.
+    let mut flag_index = HashMap::with_capacity(flags.len());
+    for (i, f) in flags.iter().enumerate() {
+        flag_index
+            .entry(f.name.clone())
+            .or_insert(FlagId::from_raw(i as u32));
+    }
 
     let mut sec = r.section(SEC_RCU)?;
     let rcu = decode_rcu(&mut sec)?;
@@ -468,7 +473,7 @@ pub fn restore(bytes: &[u8]) -> Result<Machine, SnapshotError> {
         ready_seq,
         devices,
         flags,
-        flag_lookup,
+        flag_index,
         rcu,
         trace,
         pending_spawns,
@@ -792,7 +797,7 @@ fn decode_op(r: &mut Reader<'_>) -> Result<Op, SnapshotError> {
             skip_ops: r.u32()?,
         },
         10 => Op::SetFlag(FlagId::from_raw(r.u32()?)),
-        11 => Op::Spawn(decode_spec(r)?),
+        11 => Op::Spawn(Box::new(decode_spec(r)?)),
         12 => Op::Yield,
         13 => Op::SetRcuMode(decode_rcu_mode(r.u8()?)?),
         _ => return Err(SnapshotError::Corrupt("op tag")),

@@ -77,8 +77,9 @@ pub struct CoreSpan {
 pub struct Trace {
     pub(crate) events: Vec<TraceEvent>,
     pub(crate) spans: Vec<CoreSpan>,
-    /// Disable span recording for very long runs.
-    pub record_spans: bool,
+    /// Whether `push_span` records; see
+    /// [`crate::Machine::disable_span_recording`].
+    pub(crate) record_spans: bool,
 }
 
 impl Trace {
@@ -100,12 +101,12 @@ impl Trace {
     }
 
     /// Appends an event.
-    pub fn push(&mut self, time: SimTime, pid: Pid, kind: TraceKind) {
+    pub(crate) fn push(&mut self, time: SimTime, pid: Pid, kind: TraceKind) {
         self.events.push(TraceEvent { time, pid, kind });
     }
 
     /// Appends a core busy span (no-op if span recording is off).
-    pub fn push_span(&mut self, span: CoreSpan) {
+    pub(crate) fn push_span(&mut self, span: CoreSpan) {
         if self.record_spans {
             self.spans.push(span);
         }
@@ -116,7 +117,9 @@ impl Trace {
         &self.events
     }
 
-    /// All core busy spans.
+    /// All core busy spans: one per scheduling slice that ended a
+    /// core's occupancy. Empty if span recording was disabled, which is
+    /// the case for every boot run through bb-core without telemetry.
     pub fn spans(&self) -> &[CoreSpan] {
         &self.spans
     }

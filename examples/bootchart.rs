@@ -21,8 +21,10 @@ fn main() {
     };
     // The 136-service open-source graph keeps the chart readable.
     let scenario = tv_scenario_open_source();
+    // Telemetry records the core spans the chart's CPU row reads.
     let boot = BootRequest::new(&scenario)
         .config(cfg)
+        .telemetry(true)
         .run()
         .expect("valid scenario");
     let (report, machine) = (boot.report, boot.machine);

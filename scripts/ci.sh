@@ -30,10 +30,25 @@ run cargo test --offline --manifest-path perfbench/Cargo.toml
 # container, so a return to quadratic planning trips the timeout.
 run timeout 5 ./target/release/bbsim --services 16000 >/dev/null
 
-# Deterministic chaos smoke: the fault-injection sweep must emit
-# byte-identical JSON regardless of worker count.
 chaos_tmp="$(mktemp -d)"
 trap 'rm -rf "$chaos_tmp"' EXIT
+
+# Chart gate: the Figure 5(a) and Figure 7 bootcharts, regenerated in a
+# temp dir, must match the committed artifacts byte for byte. Their CPU
+# rows read core spans, which a boot records only under telemetry, so a
+# chart caller that forgets to opt in changes all six files.
+repo="$(pwd)"
+mkdir "$chaos_tmp/charts"
+echo "==> figures fig5a && figures fig7 (in $chaos_tmp/charts)"
+(cd "$chaos_tmp/charts" && "$repo/target/release/figures" fig5a >/dev/null &&
+    "$repo/target/release/figures" fig7 >/dev/null)
+for chart in fig5a-classic.svg fig5a-classic.txt fig5a-boosted.svg \
+    fig5a-boosted.txt fig7-conventional.svg fig7-isolated.svg; do
+    run cmp "$chaos_tmp/charts/artifacts/$chart" "artifacts/$chart"
+done
+
+# Deterministic chaos smoke: the fault-injection sweep must emit
+# byte-identical JSON regardless of worker count.
 run ./target/release/bbsim chaos --services 24 --seeds 2 --plans 2 \
     --workers 1 --json "$chaos_tmp/w1.json"
 run ./target/release/bbsim chaos --services 24 --seeds 2 --plans 2 \

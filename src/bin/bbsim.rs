@@ -559,9 +559,11 @@ fn run_boot(args: Args) {
         );
     }
 
+    // The chart and the Chrome trace read core spans, which only a
+    // telemetry boot records; metrics output stays gated on --metrics.
     let boot = match BootRequest::new(&scenario)
         .config(cfg)
-        .telemetry(args.metrics)
+        .telemetry(args.metrics || args.chart.is_some() || args.trace.is_some())
         .run()
     {
         Ok(b) => b,

@@ -130,7 +130,10 @@ fn deferred_work_runs_after_completion_without_breaking_it() {
 #[test]
 fn bootchart_and_analysis_tools_work_on_real_runs() {
     let scenario = tv_scenario_open_source();
-    let boot = BootRequest::new(&scenario).run().expect("valid");
+    let boot = BootRequest::new(&scenario)
+        .telemetry(true)
+        .run()
+        .expect("valid");
     let (report, machine) = (boot.report, boot.machine);
     let chart = Bootchart::build(&report.boot, &machine);
     assert!(chart.rows.len() > 100, "chart rows {}", chart.rows.len());

@@ -2,12 +2,54 @@
 //! metric sink on a boot must not move the simulated timeline by a
 //! single nanosecond. For arbitrary feature subsets the telemetry-on
 //! and telemetry-off boots must produce identical headline times and a
-//! bit-identical event trace.
+//! bit-identical event trace. Core spans are written only under
+//! telemetry: an untraced boot records none and reports the same.
 
 use proptest::prelude::*;
 
 use booting_booster::bb::{BbConfig, BootRequest};
-use booting_booster::workloads::tv_scenario;
+use booting_booster::workloads::{profiles, tv_scenario, tv_scenario_with, TizenParams};
+
+#[test]
+fn core_spans_are_recorded_only_under_telemetry() {
+    let large = tv_scenario_with(
+        profiles::ue48h6200(),
+        TizenParams {
+            services: 1000,
+            ..TizenParams::default()
+        },
+    );
+    for scenario in [tv_scenario(), large] {
+        for cfg in [BbConfig::conventional(), BbConfig::full()] {
+            let boot = |telemetry| {
+                BootRequest::new(&scenario)
+                    .config(cfg)
+                    .telemetry(telemetry)
+                    .run()
+                    .expect("valid scenario")
+            };
+            let (off, on) = (boot(false), boot(true));
+            let what = format!("{} under {cfg:?}", scenario.name);
+            assert_eq!(
+                format!("{:?}", off.report),
+                format!("{:?}", on.report),
+                "report diverged: {what}"
+            );
+            assert_eq!(
+                off.machine.event_queue_stats(),
+                on.machine.event_queue_stats(),
+                "event counts diverged: {what}"
+            );
+            assert_eq!(
+                off.machine.trace().events(),
+                on.machine.trace().events(),
+                "trace diverged: {what}"
+            );
+            assert!(off.machine.trace().spans().is_empty(), "spans off: {what}");
+            assert!(!on.machine.trace().spans().is_empty(), "spans on: {what}");
+        }
+    }
+}
 
 fn config_from_bits(bits: u8) -> BbConfig {
     BbConfig {
