@@ -156,7 +156,7 @@ fn chain_scenario() -> Scenario {
         storage: profiles::ue48h6200().storage,
         kernel: tv_kernel_plan(),
         modules: Arc::default(),
-        units,
+        units: Arc::new(units),
         workloads: Arc::new(workloads),
         target: "tv-boot.target".into(),
         completion: vec![UnitName::new("fasttv.service")],

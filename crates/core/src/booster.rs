@@ -51,8 +51,9 @@ pub struct Scenario {
     /// Loadable kernel components, shared with every plan compiled
     /// from this scenario.
     pub modules: Arc<ModuleCatalog>,
-    /// The unit set.
-    pub units: Vec<Unit>,
+    /// The unit set, shared with every plan compiled from this
+    /// scenario (the plan's [`bb_init::UnitGraph`] holds the same `Arc`).
+    pub units: Arc<Vec<Unit>>,
     /// Service workload bodies keyed by `ExecStart=`, shared with every
     /// plan compiled from this scenario.
     pub workloads: Arc<WorkloadMap>,
@@ -708,7 +709,7 @@ pub(crate) mod tests {
                 defer_journal: false,
             },
             modules: Arc::new(synthetic_catalog(60)),
-            units,
+            units: Arc::new(units),
             workloads: Arc::new(workloads),
             target: "tv-boot.target".into(),
             completion: vec![UnitName::new("fasttv.service")],

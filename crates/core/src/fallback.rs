@@ -23,6 +23,8 @@
 //!    chaos sweep can price the degraded path rather than just count
 //!    it.
 
+use std::sync::Arc;
+
 use bb_sim::{FaultPlan, FaultTargets, SimDuration, SimTime};
 
 use crate::booster::{Boot, BootRequest, FullBootReport, Scenario};
@@ -220,7 +222,7 @@ pub fn with_supervision(
     start_limit_burst: u32,
 ) -> Scenario {
     let mut s = scenario.clone();
-    for u in &mut s.units {
+    for u in Arc::make_mut(&mut s.units) {
         if u.exec.exec_start.is_some() {
             u.exec.restart = restart;
             u.exec.restart_sec_ms = restart_sec_ms;

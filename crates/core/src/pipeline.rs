@@ -115,7 +115,7 @@ impl BootPlanIr {
         cfg: &BbConfig,
         pre: Option<&PreParser>,
     ) -> Result<Self, Error> {
-        let graph = UnitGraph::build(scenario.units.clone()).map_err(Error::Graph)?;
+        let graph = UnitGraph::build(Arc::clone(&scenario.units)).map_err(Error::Graph)?;
         let transaction =
             Transaction::build(&graph, &scenario.target).map_err(Error::Transaction)?;
         let pre = pre
@@ -167,7 +167,8 @@ impl BootPlanIr {
             && config_hash(&self.machine) == config_hash(&scenario.machine)
             && (Arc::ptr_eq(&self.workloads, &scenario.workloads)
                 || self.workloads == scenario.workloads)
-            && self.graph.units() == scenario.units
+            && (std::ptr::eq(self.graph.units(), scenario.units.as_slice())
+                || self.graph.units() == scenario.units.as_slice())
     }
 
     fn cores(&self) -> u64 {

@@ -3,7 +3,7 @@
 
 use std::collections::BTreeSet;
 
-use bb_init::{encode_units, EdgeKind, LoadModel, Unit, UnitGraph, UnitName};
+use bb_init::{EdgeKind, LoadModel, Unit, UnitGraph, UnitName};
 use bb_sim::{AccessPattern, SimDuration};
 
 // ---------------------------------------------------------------------
@@ -65,12 +65,12 @@ impl Default for ParseCostParams {
 
 /// Pre-computed Pre-parser measurements for a unit set: the byte sizes
 /// that drive the boot-time [`LoadModel`], captured once so thousands
-/// of boots of the same scenario (a bb-fleet sweep) do not re-render
-/// the unit-file text or re-encode the binary cache per boot.
+/// of boots of the same scenario (a bb-fleet sweep) share them.
 ///
-/// Built from *real* byte counts: the rendered unit-file text for the
-/// conventional path and the actual [`encode_units`] blob for the
-/// cached path.
+/// Built from *real* byte counts: the length of the unit-file text for
+/// the conventional path ([`Unit::unit_file_len`]) and of the
+/// [`bb_init::encode_units`] blob for the cached path
+/// ([`bb_init::encoded_len`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PreParser {
     /// Number of units in the set.
@@ -82,8 +82,12 @@ pub struct PreParser {
 }
 
 impl PreParser {
-    /// Measures `units` once. This is the expensive step a sweep
-    /// amortizes across boots.
+    /// Measures `units`: the text a conventional boot reads and the
+    /// cache blob a pre-parsed boot reads. Both sizes are counted by
+    /// running the unit-file renderer and the blob's payload writer into
+    /// byte-counting sinks, so nothing is rendered, encoded or hashed —
+    /// a cold boot pays about one pass over the unit set. A sweep still
+    /// builds it once per unit set and passes it to every boot.
     ///
     /// The blob's constant integrity envelope (content hash + CRC,
     /// [`bb_init::INTEGRITY_OVERHEAD`]) is excluded from the modelled
@@ -93,8 +97,8 @@ impl PreParser {
     pub fn build(units: &[Unit]) -> PreParser {
         PreParser {
             unit_count: units.len(),
-            text_bytes: units.iter().map(|u| u.to_unit_file().len() as u64).sum(),
-            blob_bytes: (encode_units(units).len() - bb_init::INTEGRITY_OVERHEAD) as u64,
+            text_bytes: units.iter().map(|u| u.unit_file_len() as u64).sum(),
+            blob_bytes: (bb_init::encoded_len(units) - bb_init::INTEGRITY_OVERHEAD) as u64,
         }
     }
 
@@ -307,7 +311,7 @@ mod tests {
     /// The planned overrides for [`tv_units`] under `cfg`.
     fn tv_overrides(cfg: &BbConfig) -> (UnitGraph, bb_init::PlanOverrides) {
         let scenario = crate::Scenario {
-            units: tv_units(),
+            units: std::sync::Arc::new(tv_units()),
             ..crate::booster::tests::mini_tv()
         };
         let (ir, _) = Pipeline::standard().plan(&scenario, cfg, None).unwrap();

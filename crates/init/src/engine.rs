@@ -155,9 +155,11 @@ impl std::ops::Index<&usize> for JobFlags {
 
 /// Everything the engine needs to run one boot.
 ///
-/// All fields borrow from the planning layer: the engine is the
-/// per-boot hot path, and a fleet cell runs it thousands of times
-/// against one plan, so nothing here is cloned per boot.
+/// All fields borrow from the planning layer, and the engine reads the
+/// plan and the workload bodies without cloning them. What a boot does
+/// allocate is the simulated machine's own state: each job's process
+/// gets its own op list, assembled from the borrowed body slices, its
+/// dependency waits and its readiness flag.
 #[derive(Debug, Clone, Copy)]
 pub struct BootPlan<'g> {
     /// The unit graph.
@@ -430,6 +432,7 @@ pub fn run_boot(
     let mut has_timeouts = false;
     // Per supervised job: (start-limit flag, escalation flag if any).
     let mut supervised: HashMap<usize, (FlagId, Option<FlagId>)> = HashMap::new();
+    let mut dep_seen = DepSeen::new(graph.len());
     for &j in &order {
         let spec = service_spec(
             graph,
@@ -442,6 +445,7 @@ pub fn run_boot(
             &cond_flags,
             boot_complete,
             prev_ready,
+            &mut dep_seen,
         );
         manager_ops.push(Op::Compute(cfg.costs.dispatch_cpu_per_job));
         manager_ops.push(Op::Spawn(Box::new(spec)));
@@ -492,6 +496,7 @@ pub fn run_boot(
                     &cond_flags,
                     boot_complete,
                     None,
+                    &mut dep_seen,
                 );
                 respawn.name = attempt.clone();
                 let mut w_ops = vec![Op::WaitFlag(crashed_prev)];
@@ -606,6 +611,25 @@ pub fn run_boot(
     } else {
         HashMap::new()
     };
+    // Respawned incarnations are named `<unit>#<k>`; only supervised
+    // units can have any. One pass over the processes counts them all:
+    // split each name at its last `#` and look the prefix up among the
+    // supervised units.
+    let mut restarts: HashMap<&str, u32> = supervised
+        .keys()
+        .map(|&j| (graph.unit(j).name.as_str(), 0))
+        .collect();
+    if !restarts.is_empty() {
+        for i in 0..n_procs {
+            if let Some((unit, k)) = machine.process(pid_at(i)).name.rsplit_once('#') {
+                if !k.is_empty() && k.bytes().all(|b| b.is_ascii_digit()) {
+                    if let Some(n) = restarts.get_mut(unit) {
+                        *n += 1;
+                    }
+                }
+            }
+        }
+    }
     for &j in jobs.iter() {
         let name = &graph.unit(j).name;
         let ready_flag = ready_flags[&j];
@@ -624,21 +648,8 @@ pub fn run_boot(
             rec.finished = finished_at[i];
             rec.failed = proc_failed[i];
         }
-        // Respawned incarnations are named `<unit>#<k>`; only supervised
-        // units can have any.
-        if graph.unit(j).exec.restart.restarts_on_crash() {
-            let restart_prefix = format!("{name}#");
-            rec.restarts = (0..n_procs)
-                .filter(|&i| {
-                    machine
-                        .process(pid_at(i))
-                        .name
-                        .strip_prefix(&restart_prefix)
-                        .is_some_and(|s| !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit()))
-                })
-                .count() as u32;
-        }
         if let Some(&(limit_flag, escalate_flag)) = supervised.get(&j) {
+            rec.restarts = restarts[name.as_str()];
             rec.start_limit_hit = machine.flag_set_at(limit_flag).is_some();
             rec.escalated = escalate_flag.is_some_and(|f| machine.flag_set_at(f).is_some());
         }
@@ -659,6 +670,47 @@ pub fn run_boot(
     }
 }
 
+/// Per-job dependency dedup without a per-job set: a slot per graph
+/// unit holding the stamp of the last job that listed it.
+struct DepSeen {
+    stamp: Vec<u32>,
+    current: u32,
+}
+
+impl DepSeen {
+    fn new(units: usize) -> Self {
+        DepSeen {
+            stamp: vec![0; units],
+            current: 0,
+        }
+    }
+
+    /// Starts a new dependency list; every unit counts as unseen.
+    fn clear(&mut self) {
+        self.current += 1;
+    }
+
+    /// True the first time `unit` is seen since the last `clear`.
+    fn insert(&mut self, unit: usize) -> bool {
+        let fresh = self.stamp[unit] != self.current;
+        self.stamp[unit] = self.current;
+        fresh
+    }
+}
+
+/// The body a unit without a workload entry runs.
+static DEFAULT_PRE_READY: [Op; 1] = [Op::Compute(SimDuration::from_millis(2))];
+
+/// The `(pre_ready, post_ready)` ops of the service whose `ExecStart=`
+/// is `exec`, borrowed from the workload map (the default body if it
+/// has no entry).
+fn body_ops<'w>(workloads: &'w WorkloadMap, exec: Option<&str>) -> (&'w [Op], &'w [Op]) {
+    match exec.and_then(|e| workloads.get(e)) {
+        Some(b) => (&b.pre_ready, &b.post_ready),
+        None => (&DEFAULT_PRE_READY, &[]),
+    }
+}
+
 /// Builds the simulated process for one job.
 #[allow(clippy::too_many_arguments)]
 fn service_spec(
@@ -672,65 +724,56 @@ fn service_spec(
     cond_flags: &[Option<FlagId>],
     boot_complete: FlagId,
     serial_prev: Option<FlagId>,
+    dep_seen: &mut DepSeen,
 ) -> ProcessSpec {
     let unit = graph.unit(job);
     let isolated = plan.overrides.isolate.contains(&job);
+    let (pre_ready, post_ready) = body_ops(workloads, unit.exec.exec_start.as_deref());
 
-    // Ordering predecessors this service waits for.
-    let deps: Vec<usize> = match cfg.mode {
-        EngineMode::Serial | EngineMode::OutOfOrder { .. } => Vec::new(),
-        EngineMode::InOrder => {
-            let mut seen = BTreeSet::new();
-            graph
-                .ordering_in_edges(job)
-                .filter(|e| is_job[e.src])
-                .filter(|e| !plan.overrides.drop_edges.contains(&(e.src, e.dst)))
-                .filter(|e| {
-                    // BB Group isolation: members ignore foreign
-                    // declarations and never wait on non-members.
-                    !isolated
-                        || (plan.overrides.isolate.contains(&e.src)
-                            && plan.overrides.isolate.contains(&e.declared_by))
-                })
-                .map(|e| e.src)
-                .filter(|s| seen.insert(*s))
-                .collect()
-        }
-    };
-
-    let mut ops: Vec<Op> = Vec::new();
+    // Room for the bodies plus the fixed ops around them (two waits,
+    // the fork cost, the readiness flag, two conditional skips); only
+    // the dependency waits can grow it.
+    let mut ops: Vec<Op> = Vec::with_capacity(6 + pre_ready.len() + post_ready.len());
     if plan.overrides.defer.contains(&job) {
         ops.push(Op::WaitFlag(boot_complete));
     }
     if let Some(prev) = serial_prev {
         ops.push(Op::WaitFlag(prev));
     }
+    // Ordering predecessors this service waits for, deduplicated, in
+    // edge order.
+    dep_seen.clear();
     match cfg.mode {
         EngineMode::InOrder => {
-            for d in &deps {
-                ops.push(Op::WaitFlag(ready_flags[d]));
+            for e in graph.ordering_in_edges(job) {
+                let waits = is_job[e.src]
+                    && !plan.overrides.drop_edges.contains(&(e.src, e.dst))
+                    // BB Group isolation: members ignore foreign
+                    // declarations and never wait on non-members.
+                    && (!isolated
+                        || (plan.overrides.isolate.contains(&e.src)
+                            && plan.overrides.isolate.contains(&e.declared_by)));
+                if waits && dep_seen.insert(e.src) {
+                    ops.push(Op::WaitFlag(ready_flags[&e.src]));
+                }
             }
         }
         EngineMode::OutOfOrder {
             path_check,
             assert_deps,
         } => {
-            let mut seen = BTreeSet::new();
-            let raw_deps: Vec<usize> = graph
-                .ordering_in_edges(job)
-                .filter(|e| is_job[e.src])
-                .map(|e| e.src)
-                .filter(|s| seen.insert(*s))
-                .collect();
-            for d in raw_deps {
+            for e in graph.ordering_in_edges(job) {
+                if !is_job[e.src] || !dep_seen.insert(e.src) {
+                    continue;
+                }
                 if path_check {
                     ops.push(Op::PollFlag {
-                        flag: ready_flags[&d],
+                        flag: ready_flags[&e.src],
                         interval: SimDuration::from_millis(50),
                         poll_cost: SimDuration::from_micros(80),
                     });
                 } else if assert_deps {
-                    ops.push(Op::AssertFlag(ready_flags[&d]));
+                    ops.push(Op::AssertFlag(ready_flags[&e.src]));
                 }
             }
         }
@@ -745,16 +788,6 @@ fn service_spec(
         .unwrap_or(cfg.costs.fork_exec_cost);
     ops.push(Op::Compute(fork_cost));
 
-    let body = unit
-        .exec
-        .exec_start
-        .as_deref()
-        .and_then(|e| workloads.get(e))
-        .cloned()
-        .unwrap_or_else(|| ServiceBody {
-            pre_ready: vec![Op::Compute(SimDuration::from_millis(2))],
-            post_ready: Vec::new(),
-        });
     let ready = ready_flags[&job];
     let cond = cond_flags[job];
 
@@ -762,17 +795,17 @@ fn service_spec(
         ServiceType::Simple => {
             // Ready as soon as exec starts; condition skips the body.
             ops.push(Op::SetFlag(ready));
-            push_conditional(&mut ops, cond, body.pre_ready);
-            push_conditional(&mut ops, cond, body.post_ready);
+            push_conditional(&mut ops, cond, pre_ready);
+            push_conditional(&mut ops, cond, post_ready);
         }
         ServiceType::Forking | ServiceType::Notify => {
-            push_conditional(&mut ops, cond, body.pre_ready);
+            push_conditional(&mut ops, cond, pre_ready);
             ops.push(Op::SetFlag(ready));
-            push_conditional(&mut ops, cond, body.post_ready);
+            push_conditional(&mut ops, cond, post_ready);
         }
         ServiceType::Oneshot => {
-            push_conditional(&mut ops, cond, body.pre_ready);
-            push_conditional(&mut ops, cond, body.post_ready);
+            push_conditional(&mut ops, cond, pre_ready);
+            push_conditional(&mut ops, cond, post_ready);
             ops.push(Op::SetFlag(ready));
         }
     }
@@ -810,24 +843,19 @@ fn escalation_spec(
     target: &UnitName,
     target_ready: FlagId,
 ) -> ProcessSpec {
-    let body = graph
+    let exec = graph
         .idx(target)
-        .and_then(|i| graph.unit(i).exec.exec_start.as_deref())
-        .and_then(|e| workloads.get(e))
-        .cloned()
-        .unwrap_or_else(|| ServiceBody {
-            pre_ready: vec![Op::Compute(SimDuration::from_millis(2))],
-            post_ready: Vec::new(),
-        });
+        .and_then(|i| graph.unit(i).exec.exec_start.as_deref());
+    let (pre_ready, post_ready) = body_ops(workloads, exec);
     let mut ops = vec![Op::Compute(cfg.costs.fork_exec_cost)];
-    ops.extend(body.pre_ready);
+    ops.extend_from_slice(pre_ready);
     ops.push(Op::SetFlag(target_ready));
-    ops.extend(body.post_ready);
+    ops.extend_from_slice(post_ready);
     ProcessSpec::new(target.as_str(), ops)
 }
 
 /// Appends `body`, wrapped in a conditional skip when `cond` is present.
-fn push_conditional(ops: &mut Vec<Op>, cond: Option<FlagId>, body: Vec<Op>) {
+fn push_conditional(ops: &mut Vec<Op>, cond: Option<FlagId>, body: &[Op]) {
     if body.is_empty() {
         return;
     }
@@ -837,7 +865,7 @@ fn push_conditional(ops: &mut Vec<Op>, cond: Option<FlagId>, body: Vec<Op>) {
             skip_ops: body.len() as u32,
         });
     }
-    ops.extend(body);
+    ops.extend_from_slice(body);
 }
 
 #[cfg(test)]
@@ -1238,6 +1266,54 @@ mod tests {
         // The escalation unit ran: its readiness flag was set.
         let rescue = s.machine.flag("ready:rescue.service");
         assert!(s.machine.flag_set_at(rescue).is_some());
+    }
+
+    #[test]
+    fn restarts_are_attributed_per_unit_when_names_share_a_prefix() {
+        // `net.service` and `net-online.service` share the prefix
+        // `net`; each must count only its own `<unit>#<k>` incarnations
+        // (and never the `restart:…` watchers named after them).
+        let mut units = chain_units();
+        units[0] = units[0]
+            .clone()
+            .requires("net.service")
+            .requires("net-online.service");
+        for name in ["net.service", "net-online.service"] {
+            units.push(
+                svc(name)
+                    .with_type(ServiceType::Forking)
+                    .with_restart(crate::unit::RestartPolicy::Always)
+                    .with_restart_sec_ms(10)
+                    .with_start_limit_burst(3),
+            );
+        }
+        let graph = UnitGraph::build(units).unwrap();
+        let mut s = setup(4);
+        s.machine.install_fault_plan(&bb_sim::FaultPlan {
+            faults: vec![
+                bb_sim::Fault::CrashAtReadiness {
+                    process: "net.service".into(),
+                    hits: 1,
+                },
+                bb_sim::Fault::CrashAtReadiness {
+                    process: "net-online.service".into(),
+                    hits: 2,
+                },
+            ],
+            seed: 0,
+        });
+        let p = plan(&graph, &["c.service"]);
+        let record = run_boot(&mut s.machine, &p.as_plan(&graph), &workloads(10), &s.cfg);
+        assert_eq!(
+            record.service("net.service").outcome(),
+            UnitOutcome::Restarted(1)
+        );
+        assert_eq!(
+            record.service("net-online.service").outcome(),
+            UnitOutcome::Restarted(2)
+        );
+        assert_eq!(record.service("b.service").outcome(), UnitOutcome::Clean);
+        assert!(record.completion_time.is_some());
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //! touching the group members' own files (§3.3, §4.2).
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::Arc;
 
 use crate::unit::{Unit, UnitName};
 
@@ -78,6 +79,47 @@ pub struct GraphStats {
     pub dangling_refs: usize,
 }
 
+/// Edge ids grouped by unit, in edge order within each unit: one flat
+/// id array plus per-unit offsets, built once after all edges exist.
+#[derive(Debug, Clone, Default)]
+struct Adjacency {
+    /// `ids[starts[u]..starts[u + 1]]` are unit `u`'s edge ids.
+    starts: Vec<usize>,
+    ids: Vec<usize>,
+}
+
+impl Adjacency {
+    /// Groups the ids of the edges `key` maps to a unit (of `n`) by
+    /// that unit; edges it maps to `None` are left out.
+    fn build(n: usize, edges: &[Edge], key: impl Fn(&Edge) -> Option<usize>) -> Self {
+        let mut starts = vec![0; n + 1];
+        for e in edges {
+            if let Some(u) = key(e) {
+                starts[u + 1] += 1;
+            }
+        }
+        for u in 0..n {
+            starts[u + 1] += starts[u];
+        }
+        let mut next = starts.clone();
+        let mut ids = vec![0; starts[n]];
+        for (id, e) in edges.iter().enumerate() {
+            if let Some(u) = key(e) {
+                ids[next[u]] = id;
+                next[u] += 1;
+            }
+        }
+        Adjacency { starts, ids }
+    }
+}
+
+impl std::ops::Index<usize> for Adjacency {
+    type Output = [usize];
+    fn index(&self, u: usize) -> &[usize] {
+        &self.ids[self.starts[u]..self.starts[u + 1]]
+    }
+}
+
 /// The dependency graph over a fixed unit set.
 ///
 /// # Examples
@@ -96,22 +138,26 @@ pub struct GraphStats {
 /// ```
 #[derive(Debug, Clone)]
 pub struct UnitGraph {
-    units: Vec<Unit>,
+    /// The unit set, shared with whoever built the graph (a scenario
+    /// and every plan compiled from it hold the same allocation).
+    units: Arc<Vec<Unit>>,
     index: HashMap<UnitName, usize>,
     edges: Vec<Edge>,
     /// Outgoing ordering adjacency: `order_out[src]` lists edge ids.
-    order_out: Vec<Vec<usize>>,
+    order_out: Adjacency,
     /// Incoming ordering adjacency: `order_in[dst]` lists edge ids.
-    order_in: Vec<Vec<usize>>,
+    order_in: Adjacency,
     /// Requirement adjacency: `req_of[dst]` lists edge ids with that dst.
-    req_of: Vec<Vec<usize>>,
+    req_of: Adjacency,
     /// Referenced-but-undefined unit names.
     missing: BTreeSet<UnitName>,
 }
 
 impl UnitGraph {
-    /// Builds the graph from parsed units.
-    pub fn build(units: Vec<Unit>) -> Result<Self, GraphError> {
+    /// Builds the graph from parsed units. An `Arc` is shared, not
+    /// copied; a `Vec` is moved into a new one.
+    pub fn build(units: impl Into<Arc<Vec<Unit>>>) -> Result<Self, GraphError> {
+        let units = units.into();
         let mut index = HashMap::with_capacity(units.len());
         for (i, u) in units.iter().enumerate() {
             if index.insert(u.name.clone(), i).is_some() {
@@ -120,17 +166,16 @@ impl UnitGraph {
         }
         let n = units.len();
         let mut g = UnitGraph {
-            units,
+            units: Arc::clone(&units),
             index,
             edges: Vec::new(),
-            order_out: vec![Vec::new(); n],
-            order_in: vec![Vec::new(); n],
-            req_of: vec![Vec::new(); n],
+            order_out: Adjacency::default(),
+            order_in: Adjacency::default(),
+            req_of: Adjacency::default(),
             missing: BTreeSet::new(),
         };
-        // Edges only read the units; take them out so `add_edge` can
-        // borrow the graph mutably without cloning each unit.
-        let units = std::mem::take(&mut g.units);
+        // Edges only read the units; iterate the local handle so
+        // `add_edge` can borrow the graph mutably.
         for (i, u) in units.iter().enumerate() {
             for dep in &u.after {
                 g.add_edge(dep, i, |src| Edge {
@@ -190,27 +235,18 @@ impl UnitGraph {
                 });
             }
         }
-        g.units = units;
+        let ordering = |e: &Edge| e.kind == EdgeKind::Ordering;
+        g.order_out = Adjacency::build(n, &g.edges, |e| ordering(e).then_some(e.src));
+        g.order_in = Adjacency::build(n, &g.edges, |e| ordering(e).then_some(e.dst));
+        g.req_of = Adjacency::build(n, &g.edges, |e| {
+            matches!(e.kind, EdgeKind::RequiresStrong | EdgeKind::RequiresWeak).then_some(e.dst)
+        });
         Ok(g)
     }
 
     fn add_edge(&mut self, other: &UnitName, _this: usize, mk: impl FnOnce(usize) -> Edge) {
         match self.index.get(other) {
-            Some(&o) => {
-                let e = mk(o);
-                let id = self.edges.len();
-                self.edges.push(e);
-                match e.kind {
-                    EdgeKind::Ordering => {
-                        self.order_out[e.src].push(id);
-                        self.order_in[e.dst].push(id);
-                    }
-                    EdgeKind::RequiresStrong | EdgeKind::RequiresWeak => {
-                        self.req_of[e.dst].push(id);
-                    }
-                    EdgeKind::Conflict => {}
-                }
-            }
+            Some(&o) => self.edges.push(mk(o)),
             None => {
                 self.missing.insert(other.clone());
             }

@@ -40,7 +40,8 @@ pub use parser::{
     DirectiveWarningKind, FileWarnings, ParseError, ParseErrorKind, Parsed, UnitDirError,
 };
 pub use preparse::{
-    blob_content_hash, decode_units, encode_units, unit_set_hash, CodecError, INTEGRITY_OVERHEAD,
+    blob_content_hash, decode_units, encode_units, encoded_len, unit_set_hash, CodecError,
+    INTEGRITY_OVERHEAD,
 };
 pub use transaction::{Transaction, TransactionError};
 pub use unit::{

@@ -15,7 +15,9 @@
 
 use bb_sim::{fnv1a, ARTIFACT_FNV1A_PRIME, FNV1A_OFFSET};
 
-use crate::unit::{ExecConfig, IoSchedulingClass, RestartPolicy, ServiceType, Unit, UnitName};
+use crate::unit::{
+    ByteCount, ExecConfig, IoSchedulingClass, RestartPolicy, ServiceType, Unit, UnitName,
+};
 
 /// Magic + version header of a cache blob. Version 2 added the
 /// supervision fields (`Restart=`, `RestartSec=`, start limits,
@@ -138,6 +140,15 @@ pub fn encode_units(units: &[Unit]) -> Vec<u8> {
     out
 }
 
+/// Length in bytes of [`encode_units`]`(units)`, counted by running
+/// the payload writer into a sink that keeps no bytes: nothing is
+/// encoded, hashed or checksummed.
+pub fn encoded_len(units: &[Unit]) -> usize {
+    let mut n = ByteCount(MIN_BLOB_LEN);
+    write_unit_payload(units, &mut n);
+    n.0
+}
+
 /// FNV-1a content hash of a unit set — the generation stamp stored in
 /// every blob. A firmware update that edits any unit changes this hash,
 /// so a cached blob written before the update no longer matches the
@@ -204,10 +215,17 @@ fn fnv1a32(bytes: &[u8]) -> u32 {
 /// Encodes the unit records alone — the bytes the content hash covers.
 fn encode_unit_payload(units: &[Unit]) -> Vec<u8> {
     let mut out = Vec::with_capacity(units.len() * 128);
+    write_unit_payload(units, &mut out);
+    out
+}
+
+/// Writes the unit records into `out`: the one payload writer behind
+/// both the encoder and [`encoded_len`].
+fn write_unit_payload(units: &[Unit], out: &mut impl Sink) {
     for u in units {
-        put_str(&mut out, u.name.as_str());
-        put_str(&mut out, &u.description);
-        put_str_list(&mut out, &u.documentation);
+        put_str(out, u.name.as_str());
+        put_str(out, &u.description);
+        put_str_list(out, &u.documentation);
         for list in [
             &u.after,
             &u.before,
@@ -217,16 +235,16 @@ fn encode_unit_payload(units: &[Unit]) -> Vec<u8> {
             &u.wanted_by,
             &u.required_by,
         ] {
-            put_name_list(&mut out, list);
+            put_name_list(out, list);
         }
         match &u.condition_path_exists {
             Some(p) => {
-                out.push(1);
-                put_str(&mut out, p);
+                out.put_u8(1);
+                put_str(out, p);
             }
-            None => out.push(0),
+            None => out.put_u8(0),
         }
-        out.push(u.default_dependencies as u8);
+        out.put_u8(u.default_dependencies as u8);
         let defaults = ExecConfig::default();
         let supervised = u.exec.restart != defaults.restart
             || u.exec.restart_sec_ms != defaults.restart_sec_ms
@@ -244,36 +262,35 @@ fn encode_unit_payload(units: &[Unit]) -> Vec<u8> {
         if !u.on_failure.is_empty() {
             type_byte |= FLAG_ON_FAILURE;
         }
-        out.push(type_byte);
+        out.put_u8(type_byte);
         match &u.exec.exec_start {
             Some(e) => {
-                out.push(1);
-                put_str(&mut out, e);
+                out.put_u8(1);
+                put_str(out, e);
             }
-            None => out.push(0),
+            None => out.put_u8(0),
         }
-        out.push(u.exec.nice as u8);
-        out.push(match u.exec.io_class {
+        out.put_u8(u.exec.nice as u8);
+        out.put_u8(match u.exec.io_class {
             IoSchedulingClass::BestEffort => 0,
             IoSchedulingClass::Idle => 1,
             IoSchedulingClass::Realtime => 2,
         });
-        put_u64(&mut out, u.exec.timeout_ms);
+        put_u64(out, u.exec.timeout_ms);
         if supervised {
-            out.push(match u.exec.restart {
+            out.put_u8(match u.exec.restart {
                 RestartPolicy::No => 0,
                 RestartPolicy::OnFailure => 1,
                 RestartPolicy::Always => 2,
             });
-            put_u64(&mut out, u.exec.restart_sec_ms);
-            put_u32(&mut out, u.exec.start_limit_burst);
-            put_u64(&mut out, u.exec.start_limit_interval_ms);
+            put_u64(out, u.exec.restart_sec_ms);
+            put_u32(out, u.exec.start_limit_burst);
+            put_u64(out, u.exec.start_limit_interval_ms);
         }
         if !u.on_failure.is_empty() {
-            put_name_list(&mut out, &u.on_failure);
+            put_name_list(out, &u.on_failure);
         }
     }
-    out
 }
 
 /// Decodes a cache blob back into units.
@@ -358,27 +375,49 @@ pub fn decode_units(blob: &[u8]) -> Result<Vec<Unit>, CodecError> {
     Ok(units)
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// Where the payload writer puts its bytes: a blob being built, or a
+/// [`ByteCount`] that only measures one.
+trait Sink {
+    fn put(&mut self, bytes: &[u8]);
+
+    fn put_u8(&mut self, v: u8) {
+        self.put(&[v]);
+    }
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
+impl Sink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
 }
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
+impl Sink for ByteCount {
+    fn put(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
+    }
+}
+
+fn put_u32(out: &mut impl Sink, v: u32) {
+    out.put(&v.to_le_bytes());
+}
+
+fn put_u64(out: &mut impl Sink, v: u64) {
+    out.put(&v.to_le_bytes());
+}
+
+fn put_str(out: &mut impl Sink, s: &str) {
     put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
+    out.put(s.as_bytes());
 }
 
-fn put_str_list(out: &mut Vec<u8>, list: &[String]) {
+fn put_str_list(out: &mut impl Sink, list: &[String]) {
     put_u32(out, list.len() as u32);
     for s in list {
         put_str(out, s);
     }
 }
 
-fn put_name_list(out: &mut Vec<u8>, list: &[UnitName]) {
+fn put_name_list(out: &mut impl Sink, list: &[UnitName]) {
     put_u32(out, list.len() as u32);
     for n in list {
         put_str(out, n.as_str());

@@ -376,72 +376,99 @@ impl Unit {
     /// Renders the unit back to systemd unit-file syntax. Parsing the
     /// output reproduces the unit (round-trip property tested).
     pub fn to_unit_file(&self) -> String {
-        use std::fmt::Write as _;
         let mut s = String::new();
-        s.push_str("[Unit]\n");
+        let _ = self.write_unit_file(&mut s);
+        s
+    }
+
+    /// Length in bytes of [`Unit::to_unit_file`], counted by running
+    /// the same renderer into a sink that keeps no text.
+    pub fn unit_file_len(&self) -> usize {
+        let mut n = ByteCount(0);
+        let _ = self.write_unit_file(&mut n);
+        n.0
+    }
+
+    fn write_unit_file(&self, s: &mut impl fmt::Write) -> fmt::Result {
+        fn list(s: &mut impl fmt::Write, key: &str, items: &[UnitName]) -> fmt::Result {
+            if let Some((first, rest)) = items.split_first() {
+                write!(s, "{key}={first}")?;
+                for n in rest {
+                    write!(s, " {n}")?;
+                }
+                s.write_char('\n')?;
+            }
+            Ok(())
+        }
+        s.write_str("[Unit]\n")?;
         if !self.description.is_empty() {
-            let _ = writeln!(s, "Description={}", self.description);
+            writeln!(s, "Description={}", self.description)?;
         }
         for d in &self.documentation {
-            let _ = writeln!(s, "Documentation={d}");
+            writeln!(s, "Documentation={d}")?;
         }
-        let list = |s: &mut String, key: &str, items: &[UnitName]| {
-            if !items.is_empty() {
-                let names: Vec<&str> = items.iter().map(UnitName::as_str).collect();
-                let _ = writeln!(s, "{key}={}", names.join(" "));
-            }
-        };
-        list(&mut s, "After", &self.after);
-        list(&mut s, "Before", &self.before);
-        list(&mut s, "Requires", &self.requires);
-        list(&mut s, "Wants", &self.wants);
-        list(&mut s, "Conflicts", &self.conflicts);
-        list(&mut s, "OnFailure", &self.on_failure);
+        list(s, "After", &self.after)?;
+        list(s, "Before", &self.before)?;
+        list(s, "Requires", &self.requires)?;
+        list(s, "Wants", &self.wants)?;
+        list(s, "Conflicts", &self.conflicts)?;
+        list(s, "OnFailure", &self.on_failure)?;
         if let Some(p) = &self.condition_path_exists {
-            let _ = writeln!(s, "ConditionPathExists={p}");
+            writeln!(s, "ConditionPathExists={p}")?;
         }
         if !self.default_dependencies {
-            s.push_str("DefaultDependencies=no\n");
+            s.write_str("DefaultDependencies=no\n")?;
         }
         if self.name.kind() == UnitKind::Service || self.exec != ExecConfig::default() {
-            s.push_str("\n[Service]\n");
-            let _ = writeln!(s, "Type={}", self.exec.service_type.as_str());
+            s.write_str("\n[Service]\n")?;
+            writeln!(s, "Type={}", self.exec.service_type.as_str())?;
             if let Some(e) = &self.exec.exec_start {
-                let _ = writeln!(s, "ExecStart={e}");
+                writeln!(s, "ExecStart={e}")?;
             }
             if self.exec.nice != 0 {
-                let _ = writeln!(s, "Nice={}", self.exec.nice);
+                writeln!(s, "Nice={}", self.exec.nice)?;
             }
             if self.exec.io_class != IoSchedulingClass::BestEffort {
-                let _ = writeln!(s, "IOSchedulingClass={}", self.exec.io_class.as_str());
+                writeln!(s, "IOSchedulingClass={}", self.exec.io_class.as_str())?;
             }
             if self.exec.timeout_ms != 0 {
-                let _ = writeln!(s, "TimeoutStartSec={}ms", self.exec.timeout_ms);
+                writeln!(s, "TimeoutStartSec={}ms", self.exec.timeout_ms)?;
             }
             let defaults = ExecConfig::default();
             if self.exec.restart != defaults.restart {
-                let _ = writeln!(s, "Restart={}", self.exec.restart.as_str());
+                writeln!(s, "Restart={}", self.exec.restart.as_str())?;
             }
             if self.exec.restart_sec_ms != defaults.restart_sec_ms {
-                let _ = writeln!(s, "RestartSec={}ms", self.exec.restart_sec_ms);
+                writeln!(s, "RestartSec={}ms", self.exec.restart_sec_ms)?;
             }
             if self.exec.start_limit_burst != defaults.start_limit_burst {
-                let _ = writeln!(s, "StartLimitBurst={}", self.exec.start_limit_burst);
+                writeln!(s, "StartLimitBurst={}", self.exec.start_limit_burst)?;
             }
             if self.exec.start_limit_interval_ms != defaults.start_limit_interval_ms {
-                let _ = writeln!(
+                writeln!(
                     s,
                     "StartLimitIntervalSec={}ms",
                     self.exec.start_limit_interval_ms
-                );
+                )?;
             }
         }
         if !self.wanted_by.is_empty() || !self.required_by.is_empty() {
-            s.push_str("\n[Install]\n");
-            list(&mut s, "WantedBy", &self.wanted_by);
-            list(&mut s, "RequiredBy", &self.required_by);
+            s.write_str("\n[Install]\n")?;
+            list(s, "WantedBy", &self.wanted_by)?;
+            list(s, "RequiredBy", &self.required_by)?;
         }
-        s
+        Ok(())
+    }
+}
+
+/// A sink that counts the bytes written to it and keeps none: text
+/// here, the unit cache's bytes in `preparse`.
+pub(crate) struct ByteCount(pub(crate) usize);
+
+impl fmt::Write for ByteCount {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 += s.len();
+        Ok(())
     }
 }
 

@@ -30,7 +30,7 @@ use crate::fault::{Fault, FaultPlan};
 use crate::ids::{CoreId, DeviceId, FlagId, Pid};
 use crate::io::{Device, DeviceProfile, IoRequest};
 use crate::process::{BlockReason, Op, ProcState, Process, ProcessSpec};
-use crate::rcu::{RcuEngine, RcuMode, RcuParams, RcuStats};
+use crate::rcu::{RcuEngine, RcuMode, RcuParams, RcuStats, Waiter};
 use crate::telemetry::{self, Telemetry};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{CoreSpan, Trace, TraceKind};
@@ -224,6 +224,9 @@ pub struct Machine {
     /// index is derived state that snapshots do not carry.
     pub(crate) flag_index: HashMap<String, FlagId>,
     pub(crate) rcu: RcuEngine,
+    /// The waiter batch of the grace period being completed; empty
+    /// between events, kept only for its buffer.
+    pub(crate) rcu_released: Vec<Waiter>,
     pub(crate) trace: Trace,
     pub(crate) pending_spawns: Vec<Option<ProcessSpec>>,
     pub(crate) work: Vec<Pid>,
@@ -258,6 +261,7 @@ impl Machine {
             devices: Vec::new(),
             flags: Vec::new(),
             flag_index: HashMap::new(),
+            rcu_released: Vec::new(),
             trace: Trace::new(),
             pending_spawns: Vec::new(),
             work: Vec::new(),
@@ -831,11 +835,11 @@ impl Machine {
     }
 
     fn on_grace_done(&mut self) {
-        let (released, next) = self.rcu.complete_grace_period(self.now);
-        if let Some(next_end) = next {
+        let mut released = std::mem::take(&mut self.rcu_released);
+        if let Some(next_end) = self.rcu.complete_grace_period(self.now, &mut released) {
             self.events.push(next_end, EventKind::RcuGraceDone);
         }
-        for waiter in released {
+        for waiter in released.drain(..) {
             let waited = self.now.saturating_since(waiter.submitted_at);
             if let Some(t) = self.telemetry.as_mut() {
                 t.metrics.add(telemetry::RCU_SYNCS, 1);
@@ -870,6 +874,7 @@ impl Machine {
                 }
             }
         }
+        self.rcu_released = released;
     }
 
     fn on_flag_wait_timeout(&mut self, pid: Pid, seq: u64) {

@@ -227,17 +227,27 @@ impl RcuEngine {
         (kind, started)
     }
 
-    /// Completes the in-flight grace period: releases its waiters and,
-    /// if more arrived meanwhile, starts the next one.
+    /// Completes the in-flight grace period: hands its waiters back in
+    /// `released` and, if more arrived meanwhile, starts the next one
+    /// (returning when it ends).
+    ///
+    /// `released` is cleared first, and its buffer becomes the engine's
+    /// buffer for a later batch, so a caller that passes the same `Vec`
+    /// every time makes no allocation per grace period.
     ///
     /// # Panics
     ///
     /// Panics if no grace period is in flight.
-    pub fn complete_grace_period(&mut self, now: SimTime) -> (Vec<Waiter>, Option<SimTime>) {
+    pub fn complete_grace_period(
+        &mut self,
+        now: SimTime,
+        released: &mut Vec<Waiter>,
+    ) -> Option<SimTime> {
         assert!(self.grace_end.is_some(), "grace completion on idle engine");
         self.grace_end = None;
-        let released = std::mem::take(&mut self.current);
-        for w in &released {
+        released.clear();
+        std::mem::swap(released, &mut self.current);
+        for w in released.iter() {
             let waited = now.saturating_since(w.submitted_at);
             self.stats.syncs_completed += 1;
             self.stats.total_wait += waited;
@@ -247,13 +257,12 @@ impl RcuEngine {
                 WaitKind::SleepingBoosted => self.stats.boosted_syncs += 1,
             }
         }
-        let next_end = if self.next.is_empty() {
+        if self.next.is_empty() {
             None
         } else {
-            self.current = std::mem::take(&mut self.next);
+            std::mem::swap(&mut self.current, &mut self.next);
             Some(self.start_grace_period(now))
-        };
-        (released, next_end)
+        }
     }
 
     /// Length of a grace period starting now, given current reader load.
@@ -293,7 +302,8 @@ mod tests {
         assert_eq!(kind, WaitKind::SleepingClassic);
         let end = end.unwrap();
         assert_eq!(end.as_millis(), 1);
-        let (released, next) = e.complete_grace_period(end);
+        let mut released = Vec::new();
+        let next = e.complete_grace_period(end, &mut released);
         assert_eq!(released.len(), 1);
         assert!(next.is_none());
         assert_eq!(e.stats().syncs_completed, 1);
@@ -326,12 +336,13 @@ mod tests {
             assert!(started.is_none());
         }
         assert_eq!(e.pending(), 4);
-        let (released1, end2) = e.complete_grace_period(end1);
-        assert_eq!(released1.len(), 1);
+        let mut released = Vec::new();
+        let end2 = e.complete_grace_period(end1, &mut released);
+        assert_eq!(released.len(), 1);
         let end2 = end2.unwrap();
         assert_eq!(end2.as_millis(), 2);
-        let (released2, none) = e.complete_grace_period(end2);
-        assert_eq!(released2.len(), 3);
+        let none = e.complete_grace_period(end2, &mut released);
+        assert_eq!(released.len(), 3);
         assert!(none.is_none());
         // Four syncs, only two grace periods: batching works.
         assert_eq!(e.stats().syncs_completed, 4);
@@ -359,10 +370,11 @@ mod tests {
         e.set_mode(RcuMode::Boosted);
         let (k2, _) = e.submit(Pid::from_raw(2), SimTime::ZERO);
         assert_eq!(k2, WaitKind::SleepingBoosted);
-        let (r1, end2) = e.complete_grace_period(end1.unwrap());
-        assert_eq!(r1[0].kind, WaitKind::SleepingClassic);
-        let (r2, _) = e.complete_grace_period(end2.unwrap());
-        assert_eq!(r2[0].kind, WaitKind::SleepingBoosted);
+        let mut released = Vec::new();
+        let end2 = e.complete_grace_period(end1.unwrap(), &mut released);
+        assert_eq!(released[0].kind, WaitKind::SleepingClassic);
+        e.complete_grace_period(end2.unwrap(), &mut released);
+        assert_eq!(released[0].kind, WaitKind::SleepingBoosted);
         assert_eq!(e.stats().classic_syncs, 1);
         assert_eq!(e.stats().boosted_syncs, 1);
     }
@@ -384,6 +396,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "grace completion on idle engine")]
     fn completion_on_idle_panics() {
-        engine(RcuMode::Boosted).complete_grace_period(SimTime::ZERO);
+        engine(RcuMode::Boosted).complete_grace_period(SimTime::ZERO, &mut Vec::new());
     }
 }

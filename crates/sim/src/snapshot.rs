@@ -475,6 +475,7 @@ pub fn restore(bytes: &[u8]) -> Result<Machine, SnapshotError> {
         flags,
         flag_index,
         rcu,
+        rcu_released: Vec::new(),
         trace,
         pending_spawns,
         work,

@@ -87,7 +87,7 @@ pub fn custom_scenario(
         storage: profile.storage,
         kernel: tv_kernel_plan(),
         modules: Arc::default(),
-        units,
+        units: Arc::new(units),
         workloads: Arc::new(workloads),
         target: target.to_owned(),
         completion,

@@ -75,7 +75,7 @@ pub fn tv_scenario_with(profile: MachineProfile, params: TizenParams) -> Scenari
         storage: profile.storage,
         kernel: tv_kernel_plan(),
         modules: Arc::new(synthetic_catalog(408)),
-        units: workload.units,
+        units: Arc::new(workload.units),
         workloads: Arc::new(workload.workloads),
         target: workload.target,
         completion: workload.completion,
@@ -109,7 +109,7 @@ pub fn camera_scenario() -> Scenario {
         storage: profile.storage,
         kernel,
         modules: Arc::new(synthetic_catalog(120)),
-        units: workload.units,
+        units: Arc::new(workload.units),
         workloads: Arc::new(workload.workloads),
         target: workload.target,
         completion: workload.completion,

@@ -30,6 +30,14 @@ run cargo test --offline --manifest-path perfbench/Cargo.toml
 # container, so a return to quadratic planning trips the timeout.
 run timeout 5 ./target/release/bbsim --services 16000 >/dev/null
 
+# Supervised-scale smoke: a chaos cell supervises every service, and
+# restart attribution counts each unit's `<unit>#<k>` incarnations in
+# one pass over the processes. This grid takes about 1.2 s in release on
+# a 2-vCPU x86-64 container; the per-unit scan it replaced, O(supervised
+# units x processes), took 12.9 s there.
+run timeout 6 ./target/release/bbsim chaos --services 4000 --seeds 1 --plans 1 \
+    --corruption 0 --workers 1 --json - >/dev/null
+
 chaos_tmp="$(mktemp -d)"
 trap 'rm -rf "$chaos_tmp"' EXIT
 

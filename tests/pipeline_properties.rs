@@ -123,3 +123,19 @@ fn pipeline_execute_is_boot_request_run() {
         }
     }
 }
+
+#[test]
+fn a_plan_shares_its_scenarios_unit_set() {
+    // Compiling a plan copies no unit: the plan's graph holds the
+    // scenario's own allocation, under every configuration.
+    let scenario = tv_scenario();
+    for cfg in [BbConfig::conventional(), BbConfig::full()] {
+        let (ir, _) = Pipeline::standard()
+            .plan(&scenario, &cfg, None)
+            .expect("plan");
+        assert!(
+            std::ptr::eq(ir.graph.units(), scenario.units.as_slice()),
+            "the plan under {cfg:?} copied the unit set"
+        );
+    }
+}

@@ -4,10 +4,14 @@
 
 use proptest::prelude::*;
 
+use std::sync::Arc;
+
+use booting_booster::bb::{with_supervision, PreParser};
 use booting_booster::init::{
-    decode_units, encode_units, parse_unit, EdgeKind, IoSchedulingClass, ServiceType, Unit,
-    UnitGraph, UnitName,
+    decode_units, encode_units, parse_unit, EdgeKind, IoSchedulingClass, RestartPolicy,
+    ServiceType, Unit, UnitGraph, UnitName, INTEGRITY_OVERHEAD,
 };
+use booting_booster::workloads::{profiles, tv_scenario, tv_scenario_with, TizenParams};
 
 /// Strategy: a valid unit name over a closed universe (so references
 /// can resolve).
@@ -80,7 +84,60 @@ fn unit_set_strategy() -> impl Strategy<Value = Vec<Unit>> {
     })
 }
 
+/// The Pre-parser's sizes as the renderers produce them: the summed
+/// unit-file text and the cache blob without its integrity envelope.
+/// `PreParser::build` counts these without rendering; this is its
+/// oracle.
+fn rendered_sizes(units: &[Unit]) -> (u64, u64) {
+    let text: usize = units.iter().map(|u| u.to_unit_file().len()).sum();
+    let blob = encode_units(units).len() - INTEGRITY_OVERHEAD;
+    (text as u64, blob as u64)
+}
+
+fn counted_sizes(units: &[Unit]) -> (u64, u64) {
+    let pre = PreParser::build(units);
+    (pre.text_bytes, pre.blob_bytes)
+}
+
+#[test]
+fn preparser_counts_equal_rendered_lengths_on_scenarios() {
+    let tv = tv_scenario();
+    let large = tv_scenario_with(
+        profiles::ue48h6200(),
+        TizenParams {
+            services: 4000,
+            ..TizenParams::default()
+        },
+    );
+    // Supervision sets the codec's flag bytes and tail fields; one
+    // `OnFailure=` list covers the other flag.
+    let mut supervised = with_supervision(&tv, RestartPolicy::OnFailure, 250, 3);
+    let units = Arc::make_mut(&mut supervised.units);
+    let first_service = units
+        .iter_mut()
+        .find(|u| u.exec.exec_start.is_some())
+        .expect("the TV scenario has services");
+    first_service
+        .on_failure
+        .push(UnitName::new("rescue.service"));
+    for s in [&tv, &large, &supervised] {
+        assert_eq!(
+            counted_sizes(&s.units),
+            rendered_sizes(&s.units),
+            "{}",
+            s.name
+        );
+    }
+}
+
 proptest! {
+    /// `PreParser::build` counts exactly the bytes the unit-file
+    /// renderer and the cache encoder write.
+    #[test]
+    fn preparser_counts_equal_rendered_lengths(units in unit_set_strategy()) {
+        prop_assert_eq!(counted_sizes(&units), rendered_sizes(&units));
+    }
+
     /// Rendering a unit to file syntax and parsing it back reproduces
     /// the unit exactly.
     #[test]

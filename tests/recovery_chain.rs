@@ -91,7 +91,7 @@ fn golden_corrupt_blobs_are_detected() {
         if golden == pristine {
             assert_eq!(
                 decode_units(&golden).expect("pristine blob decodes"),
-                scenario.units
+                *scenario.units
             );
         } else {
             assert!(
